@@ -7,11 +7,12 @@ Subcommands::
     lineswarm sim2d  (--n N --side L | --points "x,y;x,y") --epsilon E --seed S
     lineswarm experiment --config FILE [--trials T] [--seed S] [--jobs J]
 
-Every run directory receives the result files plus ``manifest.json``
-echoing the fully resolved configuration, the seed, the package version,
-and wall time: the manifest alone suffices to re-execute the run and
-reproduce the result files byte for byte.  All randomness descends from
-the single ``--seed`` value.
+``sim1d`` and ``sim2d`` write ``trajectory.csv`` and ``trajectory2d.csv``.
+An ``experiment`` run writes ``results.csv`` and ``results.jsonl`` plus
+``manifest.json`` echoing the fully resolved configuration, the seed, the
+package version, and wall time: the manifest alone suffices to re-execute
+the run and reproduce the result files byte for byte.  All randomness
+descends from the single ``--seed`` value.
 
 Exit codes: 0 success, 1 user error (bad flags or config), 2 internal
 error.
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +33,11 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .experiments import (
+    CONVERGENCE_KINDS,
     END_GAP,
     ExperimentSpec,
+    format_cell,
+    row_writer,
     run_experiment,
     write_results,
 )
@@ -49,8 +54,8 @@ from .rw_analytics import (
     tail_prob_sum,
 )
 from .seeding import child_seed
-from .sim1d import MODES, new_swarm, run_until_gathered
-from .sim2d import new_swarm2d, run2d
+from .sim1d import MODES, TrajectoryRow, new_swarm, run_until_gathered
+from .sim2d import Trajectory2DRow, new_swarm2d, run2d
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -64,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_USER)
-
-
-def _f(value: float) -> str:
-    return format(value, ".17g")
 
 
 # -- analytic ---------------------------------------------------------------
@@ -97,14 +98,14 @@ def _cmd_analytic(args) -> int:
         raise ValidationError(f"{name} requires --epsilon")
     p = WalkParams(args.epsilon)
     if name in _EPS_FORMULAS:
-        print(_f(_EPS_FORMULAS[name](p)))
+        print(format_cell(_EPS_FORMULAS[name](p)))
         return EXIT_OK
     if args.k is None:
         raise ValidationError(f"{name} requires --k")
     if name == "span-bound":
-        print(_f(markov_span_bound(p, args.k)))
+        print(format_cell(markov_span_bound(p, args.k)))
         return EXIT_OK
-    print(_f(_EPS_K_FORMULAS[name](p, int(args.k))))
+    print(format_cell(_EPS_K_FORMULAS[name](p, int(args.k))))
     return EXIT_OK
 
 
@@ -130,7 +131,12 @@ def _cmd_sim1d(args) -> int:
     if args.positions is not None:
         positions = _parse_positions(args.positions)
     else:
-        n, s0 = int(args.uniform[0]), float(args.uniform[1])
+        try:
+            n, s0 = int(args.uniform[0]), float(args.uniform[1])
+        except ValueError as exc:
+            raise ValidationError(f"--uniform takes an integer N and a number S0: {exc}") from exc
+        if n < 1:
+            raise ValidationError(f"--uniform N must be >= 1, got {n}")
         rng = np.random.default_rng(child_seed(args.seed, "cli-sim1d-init", 0))
         positions = np.sort(rng.uniform(0.0, 1.0 + s0 + END_GAP, n)).tolist()
 
@@ -140,21 +146,14 @@ def _cmd_sim1d(args) -> int:
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,centroid,core_span,total_span,x_min,x_max\n")
-
-        def sink(row):
-            fh.write(
-                f"{row.t},{_f(row.centroid)},{_f(row.core_span)},"
-                f"{_f(row.total_span)},{_f(row.x_min)},{_f(row.x_max)}\n"
-            )
-
+        sink = row_writer(fh, TrajectoryRow._fields)
         result = run_until_gathered(state, args.max_steps, sink=sink, stride=args.stride)
 
     final = result.final_state
     status = "gathered" if result.reached else f"max-steps ({args.max_steps}) exhausted"
     print(f"T = {result.T} ({status})")
-    print(f"core span = {_f(final.core_span)}")
-    print(f"total span = {_f(final.total_span)}")
+    print(f"core span = {format_cell(final.core_span)}")
+    print(f"total span = {format_cell(final.total_span)}")
     print(f"trajectory: {traj_path}")
     return EXIT_OK
 
@@ -171,7 +170,10 @@ def _parse_points(raw: str) -> list[tuple[float, float]]:
         parts = tok.split(",")
         if len(parts) != 2:
             raise ValidationError(f"bad point {tok!r}; expected 'x,y'")
-        pts.append((float(parts[0]), float(parts[1])))
+        try:
+            pts.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ValidationError(f"bad point {tok!r}: {exc}") from exc
     return pts
 
 
@@ -181,6 +183,8 @@ def _cmd_sim2d(args) -> int:
     if args.points is not None:
         points = _parse_points(args.points)
     else:
+        if args.n < 1:
+            raise ValidationError(f"--n must be >= 1, got {args.n}")
         rng = np.random.default_rng(child_seed(args.seed, "cli-sim2d-init", 0))
         points = rng.uniform(0.0, args.side, (int(args.n), 2)).tolist()
 
@@ -188,18 +192,12 @@ def _cmd_sim2d(args) -> int:
     out = _out_dir(args)
     traj_path = out / "trajectory2d.csv"
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,centroid_x,centroid_y,diameter,hull_count\n")
-
-        def sink(row):
-            fh.write(
-                f"{row.t},{_f(row.centroid_x)},{_f(row.centroid_y)},"
-                f"{_f(row.diameter)},{row.hull_count}\n"
-            )
-
+        sink = row_writer(fh, Trajectory2DRow._fields)
         rows = run2d(state, args.steps, stride=args.stride, sink=sink)
 
     print(f"steps = {args.steps}")
-    print(f"diameter = {_f(rows[-1].diameter)} (initial {_f(rows[0].diameter)})")
+    first, last = format_cell(rows[0].diameter), format_cell(rows[-1].diameter)
+    print(f"diameter = {last} (initial {first})")
     print(f"hull vertices = {rows[-1].hull_count}")
     print(f"trajectory: {traj_path}")
     return EXIT_OK
@@ -227,7 +225,7 @@ def _cmd_experiment(args) -> int:
     if "kind" not in raw:
         raise ValidationError("no experiment kind given (config file or --kind)")
     # sweeps default to machine parallelism; results are order-independent
-    if "jobs" not in raw and raw["kind"].startswith("convergence"):
+    if "jobs" not in raw and raw["kind"] in CONVERGENCE_KINDS:
         raw["jobs"] = os.cpu_count() or 1
     spec = ExperimentSpec.from_dict(raw)
 
@@ -239,7 +237,7 @@ def _cmd_experiment(args) -> int:
     csv_path = write_results(result, "csv", out / "results.csv")
     jsonl_path = write_results(result, "jsonl", out / "results.jsonl")
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "seed": spec.seed,
         "version": __version__,
         "wall_time_s": wall,

@@ -33,9 +33,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -80,6 +82,8 @@ __all__ = [
     "run_walk_validation",
     "run_experiment",
     "write_results",
+    "format_cell",
+    "row_writer",
     "SUMMARY_COLUMNS",
     "SPAN_COLUMNS",
 ]
@@ -107,6 +111,9 @@ SUMMARY_COLUMNS = (
 )
 SPAN_COLUMNS = ("k", "count", "empirical_p", "bound_p", "markov_p")
 
+_INT_FIELDS = ("trials", "seed", "max_steps", "warmup", "samples", "stride", "batches",
+               "horizon", "jobs")
+
 # histogram slope fit: integer bins from k=3 up, needing enough mass
 _SLOPE_FIT_KMIN = 3
 _SLOPE_FIT_MIN_COUNT = 30
@@ -133,6 +140,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "agent_counts", tuple(int(n) for n in self.agent_counts))
         object.__setattr__(self, "initial_spans", tuple(float(s) for s in self.initial_spans))
@@ -162,23 +173,6 @@ class ExperimentSpec:
                 "oscillates deterministically and never settles into drift)"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilons": list(self.epsilons),
-            "agent_counts": list(self.agent_counts),
-            "initial_spans": list(self.initial_spans),
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "warmup": self.warmup,
-            "samples": self.samples,
-            "stride": self.stride,
-            "batches": self.batches,
-            "horizon": self.horizon,
-            "jobs": self.jobs,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
         known = {f for f in cls.__dataclass_fields__}
@@ -194,7 +188,7 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """One line of the fixed summary schema; None serializes as empty."""
+    """One line of the fixed summary schema, fields in column order."""
 
     kind: str
     epsilon: float | None
@@ -210,7 +204,7 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class SpanTailRow:
-    """Long-format span tail row; ``batch_stderr`` stays in memory only."""
+    """Span tail row, fields in column order; ``batch_stderr`` is not written."""
 
     k: int
     count: int
@@ -283,7 +277,7 @@ def batch_mean_stderr(samples: np.ndarray, batches: int) -> float:
 # -- convergence sweeps ------------------------------------------------------
 
 
-def _convergence_trial(args: tuple) -> tuple[int, int, float, bool]:
+def _convergence_trial(args: tuple) -> tuple[int, float, bool]:
     """One gathering trial; top-level so process pools can pickle it."""
     flat_index, eps, n, s0, seed, max_steps = args
     p = WalkParams(eps)
@@ -292,7 +286,7 @@ def _convergence_trial(args: tuple) -> tuple[int, int, float, bool]:
     bound = gathering_time_bound(InitialConfiguration(tuple(positions), p))
     state = new_swarm(positions, p, child_seed(seed, "convergence-dyn", flat_index))
     res = run_until_gathered(state, max_steps)
-    return flat_index, res.T, bound, res.reached
+    return res.T, bound, res.reached
 
 
 def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentResult:
@@ -311,26 +305,19 @@ def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentResult:
             flat = point_index * spec.trials + trial
             tasks.append((flat, eps, n, s0, spec.seed, spec.max_steps))
 
-    outcomes: dict[int, tuple[int, float, bool]] = {}
+    # map keeps input order, so outcomes line up with tasks in both branches
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             chunk = max(1, len(tasks) // (spec.jobs * 8))
-            for flat, T, bound, reached in pool.map(_convergence_trial, tasks, chunksize=chunk):
-                outcomes[flat] = (T, bound, reached)
+            outcomes = list(pool.map(_convergence_trial, tasks, chunksize=chunk))
     else:
-        for args in tasks:
-            flat, T, bound, reached = _convergence_trial(args)
-            outcomes[flat] = (T, bound, reached)
+        outcomes = list(map(_convergence_trial, tasks))
 
     rows: list[SummaryRow] = []
     points: list[GridPointDetail] = []
     for point_index, (eps, n, s0) in enumerate(grid):
-        triples = [
-            outcomes[point_index * spec.trials + trial] for trial in range(spec.trials)
-        ]
-        times = tuple(t for t, _, _ in triples)
-        bounds = tuple(b for _, b, _ in triples)
-        reached = tuple(r for _, _, r in triples)
+        first = point_index * spec.trials
+        times, bounds, reached = zip(*outcomes[first : first + spec.trials])
         done_times = np.array([t for t, r in zip(times, reached) if r], dtype=float)
         done_bounds = np.array([b for b, r in zip(bounds, reached) if r], dtype=float)
         incomplete = not all(reached)
@@ -557,25 +544,47 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 # -- serialization -----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        raise TypeError("no boolean columns in the schemas")
-    if isinstance(value, int):
-        return str(value)
+def format_cell(value, fmt: str = "csv") -> str:
+    """Render one table cell for ``fmt`` (``csv`` or ``jsonl``).
+
+    None is empty (CSV) or ``null`` (JSON-lines), ints are written as
+    is, floats with 17 significant digits so they round-trip exactly,
+    and strings bare (CSV) or JSON-quoted (JSON-lines).
+    """
     if isinstance(value, float):
         return format(value, ".17g")
+    if value is None:
+        return "null" if fmt == "jsonl" else ""
+    if isinstance(value, bool):
+        raise TypeError("no boolean columns in the schemas")
+    if isinstance(value, str) and fmt == "jsonl":
+        return json.dumps(value)
     return str(value)
 
 
-def _summary_cells(row: SummaryRow) -> list:
-    return [row.kind, row.epsilon, row.n_agents, row.s0, row.trials,
-            row.mean, row.stddev, row.stderr, row.bound, row.ratio]
+def row_writer(fh: TextIO, columns: Sequence[str], fmt: str = "csv") -> Callable[[Sequence], None]:
+    """Start a table on the text file ``fh``; return the one-row writer.
 
+    ``csv`` writes the header line now; ``jsonl`` writes one object per
+    row, keyed by ``columns`` in order.  Each row is a sequence of cells
+    in column order, rendered by `format_cell`, one LF-terminated line.
+    """
+    if fmt == "csv":
+        fh.write(",".join(columns) + "\n")
 
-def _span_cells(row: SpanTailRow) -> list:
-    return [row.k, row.count, row.empirical_p, row.bound_p, row.markov_p]
+        def write_csv(row: Sequence) -> None:
+            fh.write(",".join([format_cell(cell) for cell in row]) + "\n")
+
+        return write_csv
+    if fmt == "jsonl":
+        keys = [f"{json.dumps(name)}: " for name in columns]
+
+        def write_jsonl(row: Sequence) -> None:
+            cells = [key + format_cell(cell, fmt) for key, cell in zip(keys, row)]
+            fh.write("{" + ", ".join(cells) + "}\n")
+
+        return write_jsonl
+    raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
 def write_results(result: ExperimentResult, fmt: str, path: str | Path) -> Path:
@@ -588,33 +597,16 @@ def write_results(result: ExperimentResult, fmt: str, path: str | Path) -> Path:
     digits, so every value round-trips exactly; files are UTF-8 with LF
     line endings and identical bytes for identical specs and seeds.
     """
-    if fmt not in ("csv", "jsonl"):
-        raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
     path = Path(path)
     if result.spec.kind == "span-distribution":
-        columns = SPAN_COLUMNS
-        rows = [_span_cells(r) for r in (result.span_rows or [])]
+        columns, rows = SPAN_COLUMNS, result.span_rows or []
     else:
-        columns = SUMMARY_COLUMNS
-        rows = [_summary_cells(r) for r in result.summary_rows]
+        columns, rows = SUMMARY_COLUMNS, result.summary_rows
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if fmt == "csv":
-                fh.write(",".join(columns) + "\n")
-                for cells in rows:
-                    fh.write(",".join(_fmt(c) for c in cells) + "\n")
-            else:
-                for cells in rows:
-                    parts = []
-                    for name, cell in zip(columns, cells):
-                        if cell is None:
-                            rendered = "null"
-                        elif isinstance(cell, str):
-                            rendered = json.dumps(cell)
-                        else:
-                            rendered = _fmt(cell)
-                        parts.append(f"{json.dumps(name)}: {rendered}")
-                    fh.write("{" + ", ".join(parts) + "}\n")
+            write = row_writer(fh, columns, fmt)
+            for row in rows:
+                write(astuple(row)[: len(columns)])
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
     return path

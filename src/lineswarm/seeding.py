@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_POOL_SIZE = 4096
 
 
 def sub_seed(seed: int, purpose: str, index: int = 0) -> np.random.SeedSequence:
@@ -24,11 +25,31 @@ def sub_seed(seed: int, purpose: str, index: int = 0) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed & _MASK64, tag, index & _MASK64])
 
 
-def spawn_rng(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
-    """PCG64 generator for the derived child stream."""
-    return np.random.Generator(np.random.PCG64(sub_seed(seed, purpose, index)))
-
-
 def child_seed(seed: int, purpose: str, index: int = 0) -> int:
     """Collapse the derived stream to a single 64-bit integer seed."""
     return int(sub_seed(seed, purpose, index).generate_state(1, np.uint64)[0])
+
+
+class DrawPool:
+    """Uniform draws on [0, 1) from ``rng``, fetched in blocks of 4096.
+
+    The stream is consumed in the same fixed-size blocks however a state
+    is advanced, so the sequence of draws never depends on the caller.
+    States store the bound `draw` method: calling a stored bound method
+    is cheaper per draw than a ``__call__`` on the pool.
+    """
+
+    __slots__ = ("_rng", "_pool", "_i")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._pool: list[float] = []
+        self._i = 0
+
+    def draw(self) -> float:
+        i = self._i
+        if i >= len(self._pool):
+            self._pool = self._rng.random(_POOL_SIZE).tolist()
+            i = 0
+        self._i = i + 1
+        return self._pool[i]

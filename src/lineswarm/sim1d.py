@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import InvariantViolationError, ValidationError
 from .rw_analytics import WalkParams, circular_fraction
+from .seeding import DrawPool
 
 __all__ = [
     "BILATERAL",
@@ -76,7 +77,6 @@ UNILATERAL_LEFT = "unilateral-left"
 MODES = frozenset({BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT})
 
 _MAX_MAGNITUDE = 2.0**52
-_POOL_SIZE = 4096
 _WALK_STEP_CAP = 1_000_000_000
 
 
@@ -113,9 +113,7 @@ class SwarmState1D:
         "gathered",
         "invariant_checks",
         "_pos",
-        "_rng",
-        "_pool",
-        "_pool_i",
+        "_draw",
     )
 
     def __init__(
@@ -136,9 +134,7 @@ class SwarmState1D:
         self.mode = mode
         self.t = 0
         self._pos = pos
-        self._rng = rng
-        self._pool: list[float] = []
-        self._pool_i = 0
+        self._draw = DrawPool(rng).draw
         fracs = set(circular_fraction(x) for x in pos)
         self.coincident_start = len(fracs) < len(pos)
         self.gathered = self.core_span <= 1.0 if mode == BILATERAL else False
@@ -174,14 +170,6 @@ class SwarmState1D:
         return tuple(sorted(circular_fraction(x) for x in self._pos))
 
     # -- stepping ----------------------------------------------------------
-
-    def _draw(self) -> float:
-        i = self._pool_i
-        if i >= len(self._pool):
-            self._pool = self._rng.random(_POOL_SIZE).tolist()
-            i = 0
-        self._pool_i = i + 1
-        return self._pool[i]
 
     def _tick(self) -> tuple[tuple[int, int], ...]:
         """Advance one tick; returns ((pre-sort index, direction), ...)."""
@@ -352,6 +340,8 @@ def run_until_gathered(
             if sink is not None and state.t % stride != 0:
                 _emit(state, sink)
             return GatheringResult(state.t, True, state)
+    if sink is not None and max_steps and state.t % stride != 0:
+        _emit(state, sink)
     return GatheringResult(state.t, False, state)
 
 

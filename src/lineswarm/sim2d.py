@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .rw_analytics import WalkParams
+from .seeding import DrawPool
 
 __all__ = [
     "HullInfo",
@@ -47,8 +48,6 @@ __all__ = [
 # clears this multiple of the term magnitudes, else fall back to exact.
 _EPS = 2.0**-53
 _CCW_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
-
-_POOL_SIZE = 4096
 
 
 def orientation(a, b, c) -> int:
@@ -197,7 +196,7 @@ def hull_diameter(hull: HullInfo) -> float:
 class SwarmState2D:
     """Planar point set plus tick counter and a seeded RNG stream."""
 
-    __slots__ = ("params", "t", "_pts", "_rng", "_pool", "_pool_i")
+    __slots__ = ("params", "t", "_pts", "_draw")
 
     def __init__(
         self,
@@ -213,9 +212,7 @@ class SwarmState2D:
         self.params = params
         self.t = 0
         self._pts = pts
-        self._rng = rng
-        self._pool: list[float] = []
-        self._pool_i = 0
+        self._draw = DrawPool(rng).draw
 
     @property
     def n_agents(self) -> int:
@@ -231,14 +228,6 @@ class SwarmState2D:
             math.fsum(x for x, _ in self._pts) / n,
             math.fsum(y for _, y in self._pts) / n,
         )
-
-    def _draw(self) -> float:
-        i = self._pool_i
-        if i >= len(self._pool):
-            self._pool = self._rng.random(_POOL_SIZE).tolist()
-            i = 0
-        self._pool_i = i + 1
-        return self._pool[i]
 
 
 def new_swarm2d(

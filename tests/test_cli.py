@@ -179,6 +179,29 @@ class TestExperiment:
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim2d", "--points", "1,x;2,3", "--steps", "2"],
+        ["sim2d", "--n", "-3", "--steps", "2"],
+        ["sim1d", "--uniform", "2.5", "10"],
+        ["sim1d", "--uniform", "-3", "10"],
+        ["experiment", "--config", {"kind": "walk-validation", "trials": 10.5}],
+        ["experiment", "--config", {"kind": "walk-validation", "seed": 1.5}],
+        ["experiment", "--config", {"kind": 5}],
+    ],
+)
+def test_malformed_input_is_user_error(argv, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(config)]
+    else:
+        argv = argv + ["--epsilon", "0.1", "--seed", "1"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USER
+    assert "internal error" not in capsys.readouterr().err
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,8 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         spec = small_sweep_spec()
-        again = ExperimentSpec.from_dict(spec.to_dict())
+        # through JSON, as the manifest stores it: tuples come back as lists
+        again = ExperimentSpec.from_dict(json.loads(json.dumps(asdict(spec))))
         assert again == spec
 
     def test_from_dict_rejects_unknown_fields(self):

@@ -1,0 +1,131 @@
+"""Golden bytes: every table the package writes, pinned byte for byte.
+
+Rerun tests only show that one build agrees with itself; these pin the
+exact output format (header, column order, 17-digit floats, empty CSV
+cells and JSON nulls, LF endings), so a change to any writer shows here.
+"""
+
+from lineswarm import __version__
+from lineswarm.cli import EXIT_OK, main
+from lineswarm.experiments import (
+    ExperimentResult,
+    ExperimentSpec,
+    SpanTailRow,
+    SummaryRow,
+    write_results,
+)
+
+HAND_TRAJECTORY = (
+    "t,centroid,core_span,total_span,x_min,x_max\n"
+    "0,2.1000000000000001,2.25,4.6500000000000004,0.25,4.9000000000000004\n"
+    "1,2.1000000000000001,1.5,3.4000000000000004,0.5,3.9000000000000004\n"
+    "2,2.1000000000000001,1.25,1.6500000000000004,1.25,2.9000000000000004\n"
+    "3,2.1000000000000001,0.34999999999999964,1.25,1.5,2.75\n"
+)
+
+PLANAR_TRAJECTORY = (
+    "t,centroid_x,centroid_y,diameter,hull_count\n"
+    "0,2.6746458433313758,1.8874974148500407,4.2824816789544853,5\n"
+    "2,2.7480894486063301,2.3378337334236683,3.9795568542093749,3\n"
+    "4,2.5073753722027812,2.2246230382784704,0.79797543653264214,5\n"
+    "5,2.3975111023478681,2.4751702272880038,1.6013631090564471,4\n"
+)
+
+SUMMARY_CSV = (
+    "kind,epsilon,N,S0,trials,mean,stddev,stderr,bound,ratio\n"
+    "walk-validation:first-passage,0.10000000000000001,,,2000,0.30000000000000004,"
+    "0.33333333333333331,,1.25,4.9406564584124654e-324\n"
+    "convergence-vs-N,0.25,100,2,7,1e+22,123456789,9.5367431640625e-07,,\n"
+)
+
+SUMMARY_JSONL = (
+    '{"kind": "walk-validation:first-passage", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 2000, "mean": 0.30000000000000004, '
+    '"stddev": 0.33333333333333331, "stderr": null, "bound": 1.25, '
+    '"ratio": 4.9406564584124654e-324}\n'
+    '{"kind": "convergence-vs-N", "epsilon": 0.25, "N": 100, "S0": 2, "trials": 7, '
+    '"mean": 1e+22, "stddev": 123456789, "stderr": 9.5367431640625e-07, '
+    '"bound": null, "ratio": null}\n'
+)
+
+SPAN_CSV = (
+    "k,count,empirical_p,bound_p,markov_p\n"
+    "0,3,1,,\n"
+    "1,0,0.30000000000000004,,0.66666666666666663\n"
+    "2,12,0,0.14285714285714285,0.5\n"
+)
+
+SPAN_JSONL = (
+    '{"k": 0, "count": 3, "empirical_p": 1, "bound_p": null, "markov_p": null}\n'
+    '{"k": 1, "count": 0, "empirical_p": 0.30000000000000004, "bound_p": null, '
+    '"markov_p": 0.66666666666666663}\n'
+    '{"k": 2, "count": 12, "empirical_p": 0, "bound_p": 0.14285714285714285, '
+    '"markov_p": 0.5}\n'
+)
+
+MANIFEST_WITHOUT_WALL_TIME = (
+    '{\n  "outputs": [\n    "results.csv",\n    "results.jsonl"\n  ],\n  "seed": 5,\n'
+    '  "spec": {\n    "agent_counts": [\n      100\n    ],\n    "batches": 100,\n'
+    '    "epsilons": [\n      0.1\n    ],\n    "horizon": 100000,\n'
+    '    "initial_spans": [\n      100.0\n    ],\n    "jobs": 1,\n'
+    '    "kind": "walk-validation",\n    "max_steps": 10000000,\n'
+    '    "samples": 100000,\n    "seed": 5,\n    "stride": 10,\n    "trials": 2,\n'
+    '    "warmup": 1000\n  },\n'
+    f'  "version": "{__version__}",\n'
+    "}\n"
+)
+
+
+def test_hand_example_trajectory(tmp_path):
+    code = main(["sim1d", "--positions", "0.25,0.5,2.75,4.9", "--epsilon", "0",
+                 "--seed", "1", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "trajectory.csv").read_bytes() == HAND_TRAJECTORY.encode()
+
+
+def test_seeded_planar_trajectory(tmp_path):
+    code = main(["sim2d", "--n", "5", "--side", "4", "--epsilon", "0.2", "--seed", "7",
+                 "--steps", "5", "--stride", "2", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "trajectory2d.csv").read_bytes() == PLANAR_TRAJECTORY.encode()
+
+
+def test_summary_results(tmp_path):
+    # None, ints, a string, and floats that need all 17 digits or an exponent
+    result = ExperimentResult(ExperimentSpec(kind="walk-validation"), summary_rows=[
+        SummaryRow("walk-validation:first-passage", 0.1, None, None, 2000,
+                   0.1 + 0.2, 1 / 3, None, 1.25, 5e-324),
+        SummaryRow("convergence-vs-N", 0.25, 100, 2.0, 7,
+                   1e22, 123456789.0, 2.0**-20, None, None),
+    ])
+    assert write_results(result, "csv", tmp_path / "r.csv").read_bytes() == SUMMARY_CSV.encode()
+    assert (write_results(result, "jsonl", tmp_path / "r.jsonl").read_bytes()
+            == SUMMARY_JSONL.encode())
+
+
+def test_span_results_drop_batch_stderr(tmp_path):
+    result = ExperimentResult(ExperimentSpec(kind="span-distribution"), span_rows=[
+        SpanTailRow(0, 3, 1.0, None, None, 0.5),
+        SpanTailRow(1, 0, 0.1 + 0.2, None, 2 / 3, 0.25),
+        SpanTailRow(2, 12, 0.0, 1 / 7, 0.5, 0.0),
+    ])
+    assert write_results(result, "csv", tmp_path / "s.csv").read_bytes() == SPAN_CSV.encode()
+    assert (write_results(result, "jsonl", tmp_path / "s.jsonl").read_bytes()
+            == SPAN_JSONL.encode())
+
+
+def test_analytic_rendering(capsys):
+    assert main(["analytic", "hit-plus-one", "--epsilon", "0.1"]) == EXIT_OK
+    assert main(["analytic", "span-bound", "--epsilon", "0.1", "--k", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "0.11111111111111112\n0.41666666666666663\n"
+
+
+def test_manifest_bytes(tmp_path):
+    code = main(["experiment", "--kind", "walk-validation", "--trials", "2", "--seed", "5",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    text = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+    # wall time is the one field that differs between runs
+    kept = "".join(line for line in text.splitlines(keepends=True)
+                   if '"wall_time_s"' not in line)
+    assert kept == MANIFEST_WITHOUT_WALL_TIME

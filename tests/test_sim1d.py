@@ -202,6 +202,16 @@ class TestGathering:
         assert not res.reached
         assert res.final_state.t == 3
 
+    @pytest.mark.parametrize(
+        "max_steps, ts", [(0, [0]), (5, [0, 3, 5]), (6, [0, 3, 6])]
+    )
+    def test_timeout_emits_final_row_once(self, max_steps, ts):
+        rows = []
+        s = new_swarm([0.0, 0.5, 10.25, 20.75, 30.5], 0.1, 1)
+        res = run_until_gathered(s, max_steps, sink=rows.append, stride=3)
+        assert not res.reached
+        assert [r.t for r in rows] == ts
+
     def test_trajectory_rows_strictly_increasing(self):
         rows = []
         s = new_swarm(np.random.default_rng(8).uniform(0, 40, 20), 0.1, 11)
