@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -87,12 +88,21 @@ _EPS_K_FORMULAS = {
 FORMULAS = sorted(_EPS_FORMULAS) + sorted(_EPS_K_FORMULAS) + ["span-bound", "catalan"]
 
 
+def _integer_k(k: float) -> int:
+    if not (math.isfinite(k) and k.is_integer()):
+        raise ValidationError(f"--k must be an integer for this formula, got {k}")
+    return int(k)
+
+
 def _cmd_analytic(args) -> int:
     name = args.formula
     if name == "catalan":
         if args.k is None:
             raise ValidationError("catalan requires --k")
-        print(catalan(int(args.k)))
+        try:
+            print(catalan(_integer_k(args.k)))
+        except OverflowError as exc:
+            raise ValidationError(str(exc)) from exc
         return EXIT_OK
     if args.epsilon is None:
         raise ValidationError(f"{name} requires --epsilon")
@@ -105,7 +115,7 @@ def _cmd_analytic(args) -> int:
     if name == "span-bound":
         print(format_cell(markov_span_bound(p, args.k)))
         return EXIT_OK
-    print(format_cell(_EPS_K_FORMULAS[name](p, int(args.k))))
+    print(format_cell(_EPS_K_FORMULAS[name](p, _integer_k(args.k))))
     return EXIT_OK
 
 
@@ -117,6 +127,11 @@ def _parse_positions(raw: str) -> list[float]:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"cannot parse positions {raw!r}: {exc}") from exc
+
+
+def _check_extent(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{flag} must be finite and >= 0, got {value}")
 
 
 def _out_dir(args) -> Path:
@@ -137,6 +152,7 @@ def _cmd_sim1d(args) -> int:
             raise ValidationError(f"--uniform takes an integer N and a number S0: {exc}") from exc
         if n < 1:
             raise ValidationError(f"--uniform N must be >= 1, got {n}")
+        _check_extent("--uniform S0", s0)
         rng = np.random.default_rng(child_seed(args.seed, "cli-sim1d-init", 0))
         positions = np.sort(rng.uniform(0.0, 1.0 + s0 + END_GAP, n)).tolist()
 
@@ -185,6 +201,7 @@ def _cmd_sim2d(args) -> int:
     else:
         if args.n < 1:
             raise ValidationError(f"--n must be >= 1, got {args.n}")
+        _check_extent("--side", args.side)
         rng = np.random.default_rng(child_seed(args.seed, "cli-sim2d-init", 0))
         points = rng.uniform(0.0, args.side, (int(args.n), 2)).tolist()
 

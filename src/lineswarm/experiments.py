@@ -113,10 +113,17 @@ SPAN_COLUMNS = ("k", "count", "empirical_p", "bound_p", "markov_p")
 
 _INT_FIELDS = ("trials", "seed", "max_steps", "warmup", "samples", "stride", "batches",
                "horizon", "jobs")
+_GRID_TYPES = (("epsilons", numbers.Real), ("agent_counts", numbers.Integral),
+               ("initial_spans", numbers.Real))
 
 # histogram slope fit: integer bins from k=3 up, needing enough mass
 _SLOPE_FIT_KMIN = 3
 _SLOPE_FIT_MIN_COUNT = 30
+
+
+def _is_a(value, kind: type) -> bool:
+    """``isinstance`` that does not count booleans as numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -142,8 +149,13 @@ class ExperimentSpec:
             raise ValidationError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_a(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name, kind in _GRID_TYPES:
+            bad = [value for value in getattr(self, name) if not _is_a(value, kind)]
+            if bad:
+                raise ValidationError(f"{name} must hold {kind.__name__.lower()} numbers, "
+                                      f"got {bad[0]!r}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "agent_counts", tuple(int(n) for n in self.agent_counts))
         object.__setattr__(self, "initial_spans", tuple(float(s) for s in self.initial_spans))
@@ -151,6 +163,8 @@ class ExperimentSpec:
             WalkParams(eps)  # domain check
         if not self.epsilons or not self.agent_counts or not self.initial_spans:
             raise ValidationError("parameter grids must be non-empty")
+        if not all(math.isfinite(s0) and s0 >= 0 for s0 in self.initial_spans):
+            raise ValidationError(f"initial_spans must be finite and >= 0, got {self.initial_spans}")
         if self.trials < 2:
             raise ValidationError("need trials >= 2 so standard errors are computable")
         if self.max_steps < 1 or self.samples < 1 or self.stride < 1:

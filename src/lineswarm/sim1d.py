@@ -395,7 +395,48 @@ class WalkSample:
     stderr: float
     excursion_mean: float
     excursion_stderr: float
-    max_steps_seen: int
+
+
+def _absorbed_walks(
+    rng: np.random.Generator, eps: float, trials: int, lower: int, upper: int | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk ``trials`` walkers from 0 in lockstep until each is absorbed.
+
+    A walker is absorbed on hitting ``lower`` or ``upper`` (``None``: no
+    upper barrier).  Returns the absorption ticks and the running peaks in
+    absorption order (trial order within a tick) and the number absorbed
+    at ``upper``.  A hard cap of 10^9 ticks aborts with a diagnostic.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    position = np.zeros(trials, dtype=np.int64)
+    peak = np.zeros(trials, dtype=np.int64)
+    done_ticks = np.empty(trials, dtype=np.int64)
+    done_peak = np.empty(trials, dtype=np.int64)
+    filled = hits_upper = tick = 0
+    while position.size:
+        tick += 1
+        if tick > _WALK_STEP_CAP:
+            raise RuntimeError(
+                f"walk exceeded {_WALK_STEP_CAP} ticks without absorption; "
+                f"epsilon={eps}, {position.size} trials still running"
+            )
+        position += np.where(rng.random(position.size) < eps, 1, -1)
+        np.maximum(peak, position, out=peak)
+        hit = position == lower
+        if upper is not None:
+            at_upper = position == upper
+            hits_upper += int(at_upper.sum())
+            hit |= at_upper
+        if hit.any():
+            # every live walker has taken exactly ``tick`` steps
+            n_hit = int(hit.sum())
+            done_ticks[filled : filled + n_hit] = tick
+            done_peak[filled : filled + n_hit] = peak[hit]
+            filled += n_hit
+            position = position[~hit]
+            peak = peak[~hit]
+    return done_ticks, done_peak, hits_upper
 
 
 def simulate_walk_first_passage(
@@ -408,42 +449,9 @@ def simulate_walk_first_passage(
     almost sure, but a hard cap of 10^9 ticks per trial aborts with a
     diagnostic if something is badly wrong.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    eps = p.epsilon
-
-    position = np.zeros(trials, dtype=np.int64)
-    steps = np.zeros(trials, dtype=np.int64)
-    peak = np.zeros(trials, dtype=np.int64)
-    done_steps = np.empty(trials, dtype=np.int64)
-    done_peak = np.empty(trials, dtype=np.int64)
-    index = np.arange(trials)
-    filled = 0
-    ticks = 0
-    while index.size:
-        ticks += 1
-        if ticks > _WALK_STEP_CAP:
-            raise RuntimeError(
-                f"walk exceeded {_WALK_STEP_CAP} ticks without absorption; "
-                f"epsilon={eps}, {index.size} trials still running"
-            )
-        u = rng.random(index.size)
-        position += np.where(u < eps, 1, -1)
-        steps += 1
-        np.maximum(peak, position, out=peak)
-        hit = position == -1
-        if hit.any():
-            done_steps[filled : filled + hit.sum()] = steps[hit]
-            done_peak[filled : filled + hit.sum()] = peak[hit]
-            filled += int(hit.sum())
-            keep = ~hit
-            position = position[keep]
-            steps = steps[keep]
-            peak = peak[keep]
-            index = index[keep]
-
-    steps_f = done_steps.astype(float)
+    done_ticks, done_peak, _ = _absorbed_walks(rng, p.epsilon, trials, -1, None)
+    steps_f = done_ticks.astype(float)
     peak_f = done_peak.astype(float)
     var = float(steps_f.var(ddof=1)) if trials > 1 else 0.0
     exc_sd = float(peak_f.std(ddof=1)) if trials > 1 else 0.0
@@ -454,7 +462,6 @@ def simulate_walk_first_passage(
         stderr=math.sqrt(var / trials),
         excursion_mean=float(peak_f.mean()),
         excursion_stderr=exc_sd / math.sqrt(trials),
-        max_steps_seen=int(done_steps.max()),
     )
 
 
@@ -468,34 +475,15 @@ class BarrierSample:
 
 
 def simulate_two_barrier_hits(
-    p: WalkParams,
-    seed: int | np.random.SeedSequence,
-    trials: int,
-    upper: int,
-    lower: int,
+    p: WalkParams, seed: int | np.random.SeedSequence, trials: int, upper: int, lower: int
 ) -> BarrierSample:
     """Fraction of walks from 0 absorbed at ``upper`` before ``lower``."""
     if not lower < 0 < upper:
         raise ValidationError(f"need lower < 0 < upper, got {lower}, {upper}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    eps = p.epsilon
-
-    position = np.zeros(trials, dtype=np.int64)
-    hits_upper = 0
-    ticks = 0
-    while position.size:
-        ticks += 1
-        if ticks > _WALK_STEP_CAP:
-            raise RuntimeError("two-barrier walk exceeded the step cap")
-        u = rng.random(position.size)
-        position += np.where(u < eps, 1, -1)
-        hits_upper += int((position == upper).sum())
-        position = position[(position != upper) & (position != lower)]
+    _, _, hits_upper = _absorbed_walks(rng, p.epsilon, trials, lower, upper)
     p_hat = hits_upper / trials
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return BarrierSample(trials, p_hat, stderr)
+    return BarrierSample(trials, p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
 @dataclass(frozen=True)
@@ -511,9 +499,6 @@ class ChainOccupancy:
     counts: np.ndarray  # counts[k-1] = visits to state k after burn-in
     batch_means: np.ndarray | None = None
 
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.samples
-
     def frequency(self, k: int) -> float:
         if k < 1:
             raise ValidationError(f"state index must be >= 1, got {k}")
@@ -528,9 +513,7 @@ class ChainOccupancy:
     def mean_stderr(self) -> float:
         if self.batch_means is None or self.batch_means.size < 2:
             raise ValidationError("no batch means recorded; need samples >= 2*batches")
-        return float(
-            self.batch_means.std(ddof=1) / math.sqrt(self.batch_means.size)
-        )
+        return float(self.batch_means.std(ddof=1) / math.sqrt(self.batch_means.size))
 
 
 def simulate_reflected_chain(
@@ -547,6 +530,14 @@ def simulate_reflected_chain(
     is recorded at every tick.  When ``samples >= 2 * batches``, the
     visited states are also averaged over ``batches`` consecutive equal
     windows (the trailing remainder is left out of the windows).
+
+    Draws come in blocks of 262,144.  Within a block, with ``S`` the
+    running sum of the +-1 steps and ``k0`` the state carried in, the
+    Lindley recursion gives every state at once:
+    ``k_t = 1 + S_t - min(1 - k0, min_{j<=t} S_j)``.  Visits and window
+    sums are then tallied with `np.bincount`; the window sums are integers
+    that float64 holds exactly below 2**53, so the result is exactly that
+    of stepping the chain one draw at a time.
     """
     if burn_in < 0 or samples < 1:
         raise ValidationError("need burn_in >= 0 and samples >= 1")
@@ -554,40 +545,27 @@ def simulate_reflected_chain(
         raise ValidationError("need batches >= 2")
     rng = np.random.Generator(np.random.PCG64(seed))
     eps = p.epsilon
-    counts: list[int] = [0] * 64
     per_batch = samples // batches if samples >= 2 * batches else 0
-    batch_sums: list[int] = []
-    batch_sum = 0
-    in_batch = 0
+    counts = np.zeros(1, dtype=np.int64)  # counts[k] = visits to state k
+    batch_sums = np.zeros(batches)
     k = 1
-    remaining_burn = burn_in
-    remaining = samples
-    chunk = 262_144
-    while remaining_burn or remaining:
-        todo = min(chunk, remaining_burn + remaining)
-        draws = rng.random(todo).tolist()
-        for u in draws:
-            if u < eps:
-                k += 1
-            elif k > 1:
-                k -= 1
-            if remaining_burn:
-                remaining_burn -= 1
-            else:
-                if k > len(counts):
-                    counts.extend([0] * k)
-                counts[k - 1] += 1
-                remaining -= 1
-                if per_batch and len(batch_sums) < batches:
-                    batch_sum += k
-                    in_batch += 1
-                    if in_batch == per_batch:
-                        batch_sums.append(batch_sum)
-                        batch_sum = 0
-                        in_batch = 0
-    arr = np.asarray(counts, dtype=np.int64)
-    last = int(np.nonzero(arr)[0][-1]) + 1 if arr.any() else 1
-    means = (
-        np.asarray(batch_sums, dtype=float) / per_batch if per_batch else None
-    )
-    return ChainOccupancy(samples, arr[:last], means)
+    total = burn_in + samples
+    block = 262_144
+    for start in range(0, total, block):
+        walk = np.cumsum(np.where(rng.random(min(block, total - start)) < eps, 1, -1))
+        states = 1 + walk - np.minimum(np.minimum.accumulate(walk), 1 - k)
+        k = int(states[-1])
+        skip = max(burn_in - start, 0)  # burn-in ticks at the head of this block
+        kept = states[skip:]
+        visits = np.bincount(kept)
+        if visits.size > counts.size:
+            counts = np.pad(counts, (0, visits.size - counts.size))
+        counts[: visits.size] += visits
+        if per_batch:
+            index = np.arange(kept.size) + (start + skip - burn_in)
+            window = index < batches * per_batch
+            batch_sums += np.bincount(
+                index[window] // per_batch, weights=kept[window], minlength=batches
+            )
+    means = batch_sums / per_batch if per_batch else None
+    return ChainOccupancy(samples, counts[1:], means)

@@ -1,6 +1,7 @@
 """Command-line interface: flags, outputs, exit codes, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,23 @@ class TestExperiment:
         ["experiment", "--config", {"kind": "walk-validation", "trials": 10.5}],
         ["experiment", "--config", {"kind": "walk-validation", "seed": 1.5}],
         ["experiment", "--config", {"kind": 5}],
+        ["sim2d", "--n", "5", "--side", "-1", "--steps", "2"],
+        ["sim2d", "--n", "5", "--side", "inf", "--steps", "2"],
+        ["sim1d", "--uniform", "5", "-10"],
+        ["sim1d", "--uniform", "5", "nan"],
+        ["experiment", "--config", {"kind": "convergence-vs-N", "agent_counts": [10.5],
+                                    "trials": 2}],
+        ["experiment", "--config", {"kind": "walk-validation", "agent_counts": [True],
+                                    "trials": 2}],
+        ["experiment", "--config", {"kind": "walk-validation", "agent_counts": ["x"]}],
+        ["experiment", "--config", {"kind": "walk-validation", "epsilons": ["abc"]}],
+        ["experiment", "--config", {"kind": "convergence-vs-N", "initial_spans": [None]}],
+        ["experiment", "--config", {"kind": "convergence-vs-N", "initial_spans": [-5],
+                                    "agent_counts": [10], "trials": 2}],
+        ["experiment", "--config", {"kind": "convergence-vs-N", "initial_spans": ["nan"],
+                                    "agent_counts": [10], "trials": 2}],
+        ["experiment", "--config", {"kind": "convergence-vs-N", "initial_spans": [math.inf],
+                                    "agent_counts": [10], "trials": 2}],
     ],
 )
 def test_malformed_input_is_user_error(argv, tmp_path, capsys):
@@ -199,6 +217,22 @@ def test_malformed_input_is_user_error(argv, tmp_path, capsys):
     else:
         argv = argv + ["--epsilon", "0.1", "--seed", "1"]
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USER
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalan", "--k", "2.5"],
+        ["catalan", "--k", "1e9"],
+        ["pi", "--epsilon", "0.1", "--k", "2.5"],
+        ["pi", "--epsilon", "0.1", "--k", "nan"],
+        ["tail-single", "--epsilon", "0.1", "--k", "inf"],
+    ],
+)
+def test_malformed_analytic_input_is_user_error(argv, capsys):
+    # the integer formulas must not truncate or crash on a non-integer --k
+    assert run_cli("analytic", *argv) == EXIT_USER
     assert "internal error" not in capsys.readouterr().err
 
 

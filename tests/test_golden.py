@@ -3,6 +3,8 @@
 Rerun tests only show that one build agrees with itself; these pin the
 exact output format (header, column order, 17-digit floats, empty CSV
 cells and JSON nulls, LF endings), so a change to any writer shows here.
+The seeded walk-validation run also pins what the walk simulators draw
+and compute, so a change to their RNG use or arithmetic shows here too.
 """
 
 from lineswarm import __version__
@@ -61,6 +63,46 @@ SPAN_JSONL = (
     '"markov_p": 0.66666666666666663}\n'
     '{"k": 2, "count": 12, "empirical_p": 0, "bound_p": 0.14285714285714285, '
     '"markov_p": 0.5}\n'
+)
+
+WALK_VALIDATION_CSV = (
+    "kind,epsilon,N,S0,trials,mean,stddev,stderr,bound,ratio\n"
+    "walk-validation:first-passage,0.10000000000000001,,,2000,1.2569999999999999,"
+    "0.84398291071371134,0.01887203160203994,1.25,1.0055999999999998\n"
+    "walk-validation:excursion,0.10000000000000001,,,2000,0.11550000000000001,,"
+    "0.0081309858852252875,0.125,\n"
+    "walk-validation:hit-upper:M=10,0.10000000000000001,,,2000,0.11650000000000001,,"
+    "0.0071738326576523933,0.11111111108278547,\n"
+    "walk-validation:hit-upper:M=50,0.10000000000000001,,,2000,0.1125,,"
+    "0.0070655413805312895,0.11111111111111112,\n"
+    "walk-validation:chain-tv,0.10000000000000001,,,100000,0.00043567901234561494,,,,\n"
+    "walk-validation:chain-mean,0.10000000000000001,,,100000,1.1240399999999999,,"
+    "0.0017975246728473416,1.1250000000000004,\n"
+)
+
+WALK_VALIDATION_JSONL = (
+    '{"kind": "walk-validation:first-passage", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 2000, "mean": 1.2569999999999999, '
+    '"stddev": 0.84398291071371134, "stderr": 0.01887203160203994, "bound": 1.25, '
+    '"ratio": 1.0055999999999998}\n'
+    '{"kind": "walk-validation:excursion", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 2000, "mean": 0.11550000000000001, '
+    '"stddev": null, "stderr": 0.0081309858852252875, "bound": 0.125, "ratio": null}\n'
+    '{"kind": "walk-validation:hit-upper:M=10", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 2000, "mean": 0.11650000000000001, '
+    '"stddev": null, "stderr": 0.0071738326576523933, "bound": 0.11111111108278547, '
+    '"ratio": null}\n'
+    '{"kind": "walk-validation:hit-upper:M=50", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 2000, "mean": 0.1125, '
+    '"stddev": null, "stderr": 0.0070655413805312895, "bound": 0.11111111111111112, '
+    '"ratio": null}\n'
+    '{"kind": "walk-validation:chain-tv", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 100000, "mean": 0.00043567901234561494, '
+    '"stddev": null, "stderr": null, "bound": null, "ratio": null}\n'
+    '{"kind": "walk-validation:chain-mean", "epsilon": 0.10000000000000001, '
+    '"N": null, "S0": null, "trials": 100000, "mean": 1.1240399999999999, '
+    '"stddev": null, "stderr": 0.0017975246728473416, "bound": 1.1250000000000004, '
+    '"ratio": null}\n'
 )
 
 MANIFEST_WITHOUT_WALL_TIME = (
@@ -129,3 +171,12 @@ def test_manifest_bytes(tmp_path):
     kept = "".join(line for line in text.splitlines(keepends=True)
                    if '"wall_time_s"' not in line)
     assert kept == MANIFEST_WITHOUT_WALL_TIME
+
+
+def test_walk_validation_results(tmp_path):
+    # first passage, excursion, both two-barrier rows and both chain rows
+    code = main(["experiment", "--kind", "walk-validation", "--trials", "2000", "--seed", "5",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "results.csv").read_bytes() == WALK_VALIDATION_CSV.encode()
+    assert (tmp_path / "results.jsonl").read_bytes() == WALK_VALIDATION_JSONL.encode()

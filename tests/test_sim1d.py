@@ -387,6 +387,36 @@ class TestUnilateralSweep:
         assert abs(mean - 3.75) <= 3 * se
 
 
+def scalar_chain(eps, seed, burn_in, samples, batches):
+    """Reference: the reflected chain stepped one draw at a time.
+
+    PCG64 doubles come out sequentially, so one ``random(burn_in + samples)``
+    call yields the same stream as any split into blocks.
+    """
+    draws = np.random.Generator(np.random.PCG64(seed)).random(burn_in + samples)
+    k, visited = 1, []
+    for u in draws.tolist():
+        k = k + 1 if u < eps else max(1, k - 1)
+        visited.append(k)
+    kept = visited[burn_in:]
+    tally = Counter(kept)
+    counts = [tally[state] for state in range(1, max(kept) + 1)]
+    per_batch = samples // batches if samples >= 2 * batches else 0
+    means = [sum(kept[b * per_batch : (b + 1) * per_batch]) / per_batch
+             for b in range(batches)] if per_batch else None
+    return counts, means
+
+
+def assert_chain_matches_scalar(eps, seed, burn_in, samples, batches):
+    occ = simulate_reflected_chain(WalkParams(eps), seed, burn_in, samples, batches)
+    counts, means = scalar_chain(eps, seed, burn_in, samples, batches)
+    assert occ.counts.tolist() == counts
+    if means is None:
+        assert occ.batch_means is None
+    else:
+        assert occ.batch_means.tolist() == means
+
+
 class TestWalkSimulators:
     def test_first_passage_eps_zero(self):
         w = simulate_walk_first_passage(WalkParams(0.0), 1, 500)
@@ -430,6 +460,21 @@ class TestWalkSimulators:
         assert occ.batch_means is not None and occ.batch_means.size == 100
         # batch means average back to the overall mean over their window
         assert occ.batch_means.mean() == pytest.approx(occ.mean(), abs=0.02)
+
+    @given(
+        epsilons_st,
+        st.integers(0, 2**32),
+        st.integers(0, 2_000),
+        st.integers(1, 3_000),
+        st.integers(2, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reflected_chain_equals_scalar_reference(self, eps, seed, burn_in, samples, batches):
+        assert_chain_matches_scalar(eps, seed, burn_in, samples, batches)
+
+    def test_reflected_chain_across_block_boundary(self):
+        # burn-in ends inside the first 262,144-draw block; sampling crosses into the second
+        assert_chain_matches_scalar(0.4, 77, 262_100, 5_003, 7)
 
 
 class TestCentroidDriftLaw:
