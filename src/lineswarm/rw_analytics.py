@@ -169,6 +169,8 @@ def _ratio_power(p: WalkParams, n: int) -> float:
     acc = 1.0
     for _ in range(n):
         acc *= r
+        if acc == 0.0:  # every later product is 0.0 too
+            break
     return acc
 
 

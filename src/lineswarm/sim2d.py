@@ -16,6 +16,15 @@ lowest-index copy moves.
 Orientation tests use a floating-point filter with an exact rational
 fallback (floats are exact rationals, so `fractions.Fraction` settles
 every sign), making hull membership independent of evaluation order.
+
+Before the exact monotone chain runs, an Akl-Toussaint prefilter drops,
+in numpy, every point certified strictly inside the polygon of the eight
+extreme points (min/max of x, y, x+y, x-y).  A point is dropped only
+when, for every polygon edge, the float determinant clears the same
+static error bound that `orientation` trusts; such a point is strictly
+inside the hull whatever the rounding, so the hull is exactly the one
+the chain finds on all points.  The points live in one (N, 2) float64
+array.
 """
 
 from __future__ import annotations
@@ -127,22 +136,56 @@ def _hull_bisectors(
     return out
 
 
-def convex_hull(points: Sequence) -> HullInfo:
-    """Strict convex hull in CCW order.
-
-    Duplicate coordinates collapse to their lowest index; collinear
-    points interior to an edge are excluded.  Degenerate results: one
-    point for an all-coincident set, the two endpoints for an
-    all-collinear set.
-    """
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    if not pts:
+def _as_points(points: Sequence) -> np.ndarray:
+    """``points`` as an (N, 2) float64 array of finite coordinates, N >= 1."""
+    try:
+        arr = np.asarray(points)
+        if arr.dtype.kind not in "biufO":
+            raise TypeError(f"coordinates of dtype {arr.dtype} are not numbers")
+        arr = arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"points must be N pairs of numbers: {exc}") from None
+    if arr.size == 0:
         raise ValidationError("need at least one point")
-    if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in pts):
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError(f"points must be N pairs of numbers, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValidationError("coordinates must be finite")
+    return arr
 
+
+# columns project a point on x, y, x + y and x - y
+_OCTAGON_AXES = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+
+
+def _octagon_survivors(pts: np.ndarray) -> np.ndarray:
+    """Ascending indices of the points not certified strictly inside the octagon.
+
+    The octagon joins the extreme points in directions -90, -45, ..., 225
+    degrees, consecutive repeats merged.  A point is dropped only if it is
+    strictly left of every edge by the margin `orientation` trusts, which
+    makes it interior to the hull even if the octagon is not convex.
+    """
+    proj = pts @ _OCTAGON_AXES
+    lo, hi = proj.argmin(axis=0).tolist(), proj.argmax(axis=0).tolist()
+    ext = [lo[1], hi[3], hi[0], hi[2], hi[1], lo[3], lo[0], lo[2]]
+    ring = [tuple(p) for p in pts[ext].tolist()]
+    ring = [p for i, p in enumerate(ring) if p != ring[i - 1]]
+    if len(set(ring)) < 3:
+        return np.arange(len(pts))
+    a = np.array(ring)[:, :, None]
+    d = np.array(ring[1:] + ring[:1])[:, :, None] - a
+    # the terms of `orientation(a, b, p)` with d = b - a, one row per edge
+    left = d[:, 0] * (pts[:, 1] - a[:, 1])
+    right = d[:, 1] * (pts[:, 0] - a[:, 0])
+    uncertified = left - right <= _CCW_ERRBOUND * (np.abs(left) + np.abs(right))
+    return np.flatnonzero(uncertified.any(axis=0))
+
+
+def _monotone_chain(pts: np.ndarray, index: Sequence[int]) -> HullInfo:
+    """Exact strict hull of the rows of ``pts``; row ``r`` is reported as ``index[r]``."""
     first_index: dict[tuple[float, float], int] = {}
-    for i, xy in enumerate(pts):
+    for i, xy in zip(index, map(tuple, pts.tolist())):
         first_index.setdefault(xy, i)
     distinct = sorted(first_index)  # lexicographic by (x, y)
 
@@ -164,6 +207,19 @@ def convex_hull(points: Sequence) -> HullInfo:
 
     verts = [first_index[xy] for xy in ring]
     return HullInfo(tuple(verts), tuple(ring), tuple(_hull_bisectors(verts, ring)))
+
+
+def convex_hull(points: Sequence) -> HullInfo:
+    """Strict convex hull in CCW order.
+
+    Duplicate coordinates collapse to their lowest index; collinear
+    points interior to an edge are excluded.  Degenerate results: one
+    point for an all-coincident set, the two endpoints for an
+    all-collinear set.
+    """
+    pts = _as_points(points)
+    keep = _octagon_survivors(pts)
+    return _monotone_chain(pts[keep], keep.tolist())
 
 
 def bisector_direction(hull: HullInfo, vertex_index: int) -> tuple[float, float]:
@@ -204,14 +260,9 @@ class SwarmState2D:
         params: WalkParams,
         rng: np.random.Generator,
     ) -> None:
-        pts = [(float(p[0]), float(p[1])) for p in points]
-        if not pts:
-            raise ValidationError("need at least one agent")
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in pts):
-            raise ValidationError("coordinates must be finite")
         self.params = params
         self.t = 0
-        self._pts = pts
+        self._pts = _as_points(points).copy()
         self._draw = DrawPool(rng).draw
 
     @property
@@ -220,13 +271,13 @@ class SwarmState2D:
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(self._pts)
+        return tuple(map(tuple, self._pts.tolist()))
 
     def centroid(self) -> tuple[float, float]:
         n = len(self._pts)
         return (
-            math.fsum(x for x, _ in self._pts) / n,
-            math.fsum(y for _, y in self._pts) / n,
+            math.fsum(self._pts[:, 0].tolist()) / n,
+            math.fsum(self._pts[:, 1].tolist()) / n,
         )
 
 
@@ -249,14 +300,13 @@ def step2d(state: SwarmState2D) -> HullInfo:
     hull = convex_hull(state._pts)
     keep = 1.0 - state.params.epsilon
     if len(hull.vertices) > 1:
-        moves = []
-        for idx, bis in zip(hull.vertices, hull.bisectors):
-            sign = 1.0 if state._draw() < keep else -1.0
-            moves.append((idx, sign * bis[0], sign * bis[1]))
         pts = state._pts
-        for idx, dx, dy in moves:
-            x, y = pts[idx]
-            pts[idx] = (x + dx, y + dy)
+        # hull vertices are distinct rows, so moving each as it draws is
+        # the same as drawing all first
+        for idx, (bx, by) in zip(hull.vertices, hull.bisectors):
+            sign = 1.0 if state._draw() < keep else -1.0
+            pts[idx, 0] = pts.item(idx, 0) + sign * bx
+            pts[idx, 1] = pts.item(idx, 1) + sign * by
     state.t += 1
     return hull
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,23 @@ class TestAnalytic:
 
     def test_missing_parameter(self):
         assert run_cli("analytic", "pi", "--epsilon", "0.1") == EXIT_USER
+
+    @pytest.mark.parametrize("formula,k", [("pi", "1e18"), ("tail-sum", "1e300")])
+    def test_huge_k_ends(self, formula, k, capsys):
+        # the tail underflows to 0.0 after a few hundred factors; the alarm
+        # turns a loop over all k factors into a failure instead of a hang
+        def too_slow(signum, frame):
+            raise TimeoutError(f"analytic {formula} --k {k} did not end")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            code = run_cli("analytic", formula, "--epsilon", "0.1", "--k", k)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "0\n"
 
 
 class TestHelp:

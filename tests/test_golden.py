@@ -33,6 +33,17 @@ PLANAR_TRAJECTORY = (
     "5,2.3975111023478681,2.4751702272880038,1.6013631090564471,4\n"
 )
 
+# 300 points: the hull prefilter keeps only 19-35 of them at t = 0..5
+PLANAR_300_TRAJECTORY = (
+    "t,centroid_x,centroid_y,diameter,hull_count\n"
+    "0,15.164682789277188,15.672468611781884,40.258714396842493,14\n"
+    "1,15.169863669117264,15.669311333751445,38.262478604982064,16\n"
+    "2,15.176051815111775,15.663092424893733,38.353086067632638,14\n"
+    "3,15.183556563519165,15.668921345816624,37.876654486672791,16\n"
+    "4,15.179644628351449,15.668771242835334,35.997828363868308,19\n"
+    "5,15.176885235722938,15.659560427876926,35.351423787473067,18\n"
+)
+
 SUMMARY_CSV = (
     "kind,epsilon,N,S0,trials,mean,stddev,stderr,bound,ratio\n"
     "walk-validation:first-passage,0.10000000000000001,,,2000,0.30000000000000004,"
@@ -130,6 +141,13 @@ def test_seeded_planar_trajectory(tmp_path):
                  "--steps", "5", "--stride", "2", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert (tmp_path / "trajectory2d.csv").read_bytes() == PLANAR_TRAJECTORY.encode()
+
+
+def test_seeded_planar_trajectory_300_points(tmp_path):
+    code = main(["sim2d", "--n", "300", "--side", "30", "--epsilon", "0.1", "--seed", "11",
+                 "--steps", "5", "--stride", "1", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "trajectory2d.csv").read_bytes() == PLANAR_300_TRAJECTORY.encode()
 
 
 def test_summary_results(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
 from lineswarm.sim2d import (
     Trajectory2DRow,
+    _monotone_chain,
     bisector_direction,
     convex_hull,
     hull_diameter,
@@ -193,6 +194,99 @@ class TestConvexHull:
                 math.isclose(x, rx, abs_tol=1e-9) and math.isclose(y, ry, abs_tol=1e-9)
                 for rx, ry in rot_back
             )
+
+
+def _octagon_edges(pts):
+    """Consecutive extreme points in the CCW order the prefilter joins them."""
+    x, y = pts[:, 0], pts[:, 1]
+    ext = [y.argmin(), (x - y).argmax(), x.argmax(), (x + y).argmax(),
+           y.argmax(), (x - y).argmin(), x.argmin(), (x + y).argmin()]
+    ring = [tuple(pts[i]) for i in ext]
+    ring = [p for i, p in enumerate(ring) if p != ring[i - 1]]
+    return ext, [(np.array(ring[i - 1]), np.array(ring[i])) for i in range(len(ring))]
+
+
+def _pushed_out(p, a, b, k):
+    """``p`` moved ``k`` ulps per coordinate to the right of the CCW edge a -> b."""
+    x, y = p
+    for _ in range(k):
+        x = np.nextafter(x, math.inf if b[1] > a[1] else -math.inf)
+        y = np.nextafter(y, math.inf if b[0] < a[0] else -math.inf)
+    return [x, y]
+
+
+@st.composite
+def _prefilter_sets(draw):
+    """20-400 points that put the prefilter's margin to work.
+
+    Polygon and lattice sets get copies of the extreme points appended at
+    higher indices and, on each octagon edge, one point pushed a few ulps
+    out across it (one only, as a farther one would shadow it).  Lattice
+    sets also get runs of lattice points exactly on the octagon edges.
+    A polygon has one edge from ``a`` to ``-2a``, through the origin,
+    whose pushed point is its exact point ``+-2**-j * a``: that close to
+    the origin the float determinant rounds at the scale of the edge, so
+    only the margin keeps the point.  Exactly collinear and all-coincident
+    sets come as they are.  Scales are powers of two, so scaling the
+    lattice is exact.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 300))
+    scale = draw(st.sampled_from([2.0**-10, 1.0, 32.0, 2.0**20]))
+    kind = draw(st.sampled_from(["polygon", "lattice", "collinear", "coincident"]))
+    if kind == "coincident":
+        return [tuple(rng.uniform(-scale, scale, 2))] * n
+    if kind == "collinear":
+        ks = rng.integers(-100, 101, (n, 1))
+        pts = ks * rng.integers(-5, 6, 2) + rng.integers(-50, 51, 2)
+        return [tuple(p) for p in (pts * scale).tolist()]
+    if kind == "polygon":
+        a0 = rng.uniform(-scale, scale, 2)
+        # the other corners go left of a0 -> -2 a0, so that edge is a hull edge
+        others = rng.uniform(-scale, scale, (int(rng.integers(1, 6)), 2))
+        others *= np.where(others @ [-a0[1], a0[0]] > 0, -1.0, 1.0)[:, None]
+        corners = np.vstack([a0, -2.0 * a0, others])
+        pts = np.vstack([corners, rng.dirichlet(np.ones(len(corners)), n) @ corners])
+        near_origin = a0 * (2.0 ** -int(rng.integers(10, 40)) * rng.choice([-1.0, 1.0]))
+    else:
+        pts = rng.integers(-50, 51, (n, 2)) * scale
+    extremes, edges = _octagon_edges(pts)
+    extra = [pts[extremes]]
+    for a, b in edges:
+        d = b - a
+        if kind == "lattice":
+            g = math.gcd(int(d[0] / scale), int(d[1] / scale))
+            extra.append(np.reshape([a + k * (d / g) for k in range(1, min(g, 8))], (-1, 2)))
+        on_edge = a + 0.5 * d
+        if kind == "polygon" and (a == a0).all() and (b == -2.0 * a0).all():
+            on_edge = near_origin
+        extra.append([_pushed_out(on_edge, a, b, int(rng.integers(1, 5)))])
+    return [tuple(p) for p in np.vstack([pts, *extra]).tolist()]
+
+
+class TestPrefilter:
+    @given(_prefilter_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_unfiltered_chain(self, points):
+        assert 20 <= len(points) <= 400
+        # a vertex a few ulps off a straight angle can have no bisector; then
+        # both must fail alike
+        def outcome(build, *args):
+            try:
+                return build(*args)
+            except DegenerateConfigurationError as exc:
+                return str(exc)
+
+        oracle = outcome(_monotone_chain, np.array(points), range(len(points)))
+        assert outcome(convex_hull, points) == oracle
+
+    @pytest.mark.parametrize(
+        "points", [[(1.0,)], [(1.0, 2.0), "ab"], [(1.0, 2.0, 3.0), (0.0, 0.0)]]
+    )
+    @pytest.mark.parametrize("build", [convex_hull, lambda p: new_swarm2d(p, 0.1, 1)])
+    def test_malformed_points_rejected(self, points, build):
+        with pytest.raises(ValidationError, match="pairs of numbers"):
+            build(points)
 
 
 class TestBisectors:
