@@ -50,7 +50,6 @@ from .rw_analytics import (
     finite_chain_oracle,
     gathering_time_bound,
     markov_span_bound,
-    prob_hit_plus_one,
     reflected_chain_mean,
     stationary_pi,
     tail_prob_sum,
@@ -270,7 +269,6 @@ class ExperimentResult:
     drift: DriftStats | None = None
     slope: float | None = None
     slope_expected: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def batch_mean_stderr(samples: np.ndarray, batches: int) -> float:
@@ -386,7 +384,7 @@ def _gather_for_sampling(spec: ExperimentSpec):
             f"cannot sample: core not gathered within max_steps={spec.max_steps} "
             f"(eps={eps}, N={n}, S0={s0}); raise max_steps or shrink S0"
         )
-    tick = state._tick
+    tick = state.tick
     for _ in range(spec.warmup):
         tick()
     return state, p
@@ -398,13 +396,12 @@ def run_span_distribution(spec: ExperimentSpec) -> ExperimentResult:
         raise ValidationError(f"not a span-distribution spec: {spec.kind}")
     state, p = _gather_for_sampling(spec)
     spans = np.empty(spec.samples)
-    tick = state._tick
-    pos = state._pos
+    tick = state.tick
     stride = spec.stride
     for i in range(spec.samples):
         for _ in range(stride):
             tick()
-        spans[i] = pos[-1] - pos[0]
+        spans[i] = state.total_span
 
     k_max = max(12, int(math.ceil(spans.max())))
     rows: list[SpanTailRow] = []
@@ -424,15 +421,12 @@ def run_span_distribution(spec: ExperimentSpec) -> ExperimentResult:
         ks = np.array([k for k, _ in fit], dtype=float)
         logs = np.log([c for _, c in fit])
         slope = float(np.polyfit(ks, logs, 1)[0])
-    result = ExperimentResult(
+    return ExperimentResult(
         spec,
         span_rows=rows,
         slope=slope,
         slope_expected=math.log(p.ratio) if p.epsilon > 0 else None,
     )
-    result.extras["span_mean"] = float(spans.mean())
-    result.extras["span_max"] = float(spans.max())
-    return result
 
 
 # -- centroid drift ----------------------------------------------------------
@@ -450,11 +444,11 @@ def run_centroid_drift(spec: ExperimentSpec) -> ExperimentResult:
     state, p = _gather_for_sampling(spec)
     n = state.n_agents
     ticks = spec.horizon
-    tick = state._tick
+    tick = state.tick
     up = down = 0
     for _ in range(ticks):
-        moved = tick()
-        s = moved[0][1] + moved[1][1]
+        d_left, d_right = tick()
+        s = d_left + d_right
         if s == 2:
             up += 1
         elif s == -2:
@@ -493,7 +487,6 @@ def run_walk_validation(spec: ExperimentSpec) -> ExperimentResult:
     if spec.kind != "walk-validation":
         raise ValidationError(f"not a walk-validation spec: {spec.kind}")
     rows: list[SummaryRow] = []
-    extras: dict = {}
     for i, eps in enumerate(spec.epsilons):
         p = WalkParams(eps)
         walk = simulate_walk_first_passage(
@@ -520,7 +513,6 @@ def run_walk_validation(spec: ExperimentSpec) -> ExperimentResult:
                 SummaryRow(f"walk-validation:hit-upper:M={m}", eps, None, None,
                            spec.trials, sim.p_upper, None, sim.stderr, exact, None)
             )
-            extras[f"oracle_hit_upper_M{m}_eps{eps}"] = exact
         if eps > 0.0:
             occ = simulate_reflected_chain(
                 p, child_seed(spec.seed, "chain", i), spec.warmup, spec.samples,
@@ -540,8 +532,7 @@ def run_walk_validation(spec: ExperimentSpec) -> ExperimentResult:
                            spec.samples, occ.mean(), None, chain_se,
                            reflected_chain_mean(p), None)
             )
-        extras[f"limit_hit_plus_one_eps{eps}"] = prob_hit_plus_one(p)
-    return ExperimentResult(spec, summary_rows=rows, extras=extras)
+    return ExperimentResult(spec, summary_rows=rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

@@ -168,9 +168,10 @@ def _ratio_power(p: WalkParams, n: int) -> float:
     r = p.ratio
     acc = 1.0
     for _ in range(n):
-        acc *= r
-        if acc == 0.0:  # every later product is 0.0 too
+        nxt = acc * r
+        if nxt == acc:  # 0.0 or stuck at a subnormal: every later product is acc too
             break
+        acc = nxt
     return acc
 
 

@@ -16,6 +16,11 @@ several agents share an extremal position exactly one of them (the
 lowest storage index) moves that tick, and if *all* agents coincide the
 lowest index acts as the left extremist and the highest as the right.
 
+`SwarmState1D.tick` is the one update: it draws for the left end, then
+the right, skipping the end the mode keeps still, and returns the jump
+directions ``(d_left, d_right)``, 0 for a side that did not move.  Only
+`step` reports the movers' pre-tick storage indices (`StepOutcome.moved`).
+
 Positions are plain doubles validated to ``|x| < 2**52``.  Unit jumps
 are then exactly representable whenever the positions live on a dyadic
 lattice with headroom (multiples of ``2**-q`` staying below ``2**(52-q)``
@@ -171,13 +176,13 @@ class SwarmState1D:
 
     # -- stepping ----------------------------------------------------------
 
-    def _tick(self) -> tuple[tuple[int, int], ...]:
-        """Advance one tick; returns ((pre-sort index, direction), ...)."""
+    def tick(self) -> tuple[int, int]:
+        """Advance one tick; returns ``(d_left, d_right)``, 0 for a side that did not move."""
         pos = self._pos
         n = len(pos)
         if n == 1:
             self.t += 1
-            return ()
+            return 0, 0
 
         keep = 1.0 - self.params.epsilon
         check_core = n >= 4
@@ -187,31 +192,19 @@ class SwarmState1D:
             core_before = xp_before - x2_before
 
         mode = self.mode
-        moved: tuple[tuple[int, int], ...]
-        if mode == BILATERAL:
-            lo = pos[0]
-            hi = pos[-1]
+        lo = pos[0]
+        hi = pos[-1]
+        d_left = d_right = 0
+        if mode != UNILATERAL_RIGHT:
             d_left = 1 if self._draw() < keep else -1
+        if mode != UNILATERAL_LEFT:
             d_right = -1 if self._draw() < keep else 1
-            right_index = n - 1 if lo == hi else bisect_left(pos, hi)
             del pos[-1]
+        if d_left:
             del pos[0]
             insort(pos, lo + d_left)
+        if d_right:
             insort(pos, hi + d_right)
-            moved = ((0, d_left), (right_index, d_right))
-        elif mode == UNILATERAL_RIGHT:
-            hi = pos[-1]
-            d = -1 if self._draw() < keep else 1
-            right_index = bisect_left(pos, hi)
-            del pos[-1]
-            insort(pos, hi + d)
-            moved = ((right_index, d),)
-        else:  # UNILATERAL_LEFT
-            lo = pos[0]
-            d = 1 if self._draw() < keep else -1
-            del pos[0]
-            insort(pos, lo + d)
-            moved = ((0, d),)
 
         self.t += 1
 
@@ -234,7 +227,7 @@ class SwarmState1D:
                 elif core_after <= 1.0:
                     self.gathered = True
             self.invariant_checks += 1
-        return moved
+        return d_left, d_right
 
 
 @dataclass(frozen=True)
@@ -278,8 +271,11 @@ def new_swarm(
 
 
 def step(state: SwarmState1D) -> StepOutcome:
-    """Advance one tick and report the movers."""
-    moved = state._tick()
+    """Advance one tick and report the movers by their pre-tick indices."""
+    pos = state._pos
+    right = len(pos) - 1 if pos[0] == pos[-1] else bisect_left(pos, pos[-1])
+    d_left, d_right = state.tick()
+    moved = tuple((i, d) for i, d in ((0, d_left), (right, d_right)) if d)
     return StepOutcome(moved, state)
 
 
@@ -330,7 +326,7 @@ def run_until_gathered(
         _emit(state, sink)
     if state.core_span <= 1.0:
         return GatheringResult(state.t, True, state)
-    tick = state._tick
+    tick = state.tick
     pos = state._pos
     for _ in range(max_steps):
         tick()
@@ -362,11 +358,12 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
         raise ValidationError("need at least one agent besides the beacon")
     crossings = 0
     pos = state._pos
+    tick = state.tick
     for _ in range(max_steps):
         if pos[-1] <= beacon:
             break
         hi = pos[-1]
-        ((_, d),) = state._tick()
+        _, d = tick()
         if d == -1 and hi - 1.0 <= beacon:
             crossings += 1
     finished = pos[-1] <= beacon

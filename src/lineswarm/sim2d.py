@@ -131,8 +131,13 @@ def _hull_bisectors(
         e1x, e1y = _unit(px - vx, py - vy)
         e2x, e2y = _unit(nx - vx, ny - vy)
         # sum of unit vectors toward both neighbours bisects the interior
-        # angle; it cannot vanish since strict vertices have angle < pi
-        out.append(_unit(e1x + e2x, e1y + e2y))
+        # angle; near a straight angle it cancels (below 2**-26 half its
+        # digits are gone), and e2 - e1 turned a quarter left, inward for a
+        # CCW ring, is the same direction and well conditioned there
+        sx, sy = e1x + e2x, e1y + e2y
+        if math.hypot(sx, sy) < 2.0**-26:
+            sx, sy = e1y - e2y, e2x - e1x
+        out.append(_unit(sx, sy))
     return out
 
 

@@ -49,9 +49,16 @@ class TestAnalytic:
     def test_missing_parameter(self):
         assert run_cli("analytic", "pi", "--epsilon", "0.1") == EXIT_USER
 
-    @pytest.mark.parametrize("formula,k", [("pi", "1e18"), ("tail-sum", "1e300")])
-    def test_huge_k_ends(self, formula, k, capsys):
-        # the tail underflows to 0.0 after a few hundred factors; the alarm
+    @pytest.mark.parametrize("formula,k,eps,out", [
+        pytest.param("pi", "1e18", "0.1", "0", id="pi-1e18"),
+        pytest.param("tail-sum", "1e300", "0.1", "0", id="tail-sum-1e300"),
+        pytest.param("pi", "1e18", "0.4", "0", id="pi-1e18-eps0.4"),
+        pytest.param("tail-sum", "1e300", "0.4", "1.6468854861374882e-24",
+                     id="tail-sum-1e300-eps0.4"),
+    ])
+    def test_huge_k_ends(self, formula, k, eps, out, capsys):
+        # the power of the ratio underflows to 0.0, or above eps = 1/3 sticks at
+        # the smallest subnormal, after at most a few thousand factors; the alarm
         # turns a loop over all k factors into a failure instead of a hang
         def too_slow(signum, frame):
             raise TimeoutError(f"analytic {formula} --k {k} did not end")
@@ -59,12 +66,12 @@ class TestAnalytic:
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.setitimer(signal.ITIMER_REAL, 5.0)
         try:
-            code = run_cli("analytic", formula, "--epsilon", "0.1", "--k", k)
+            code = run_cli("analytic", formula, "--epsilon", eps, "--k", k)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
         assert code == EXIT_OK
-        assert capsys.readouterr().out == "0\n"
+        assert capsys.readouterr().out == out + "\n"
 
 
 class TestHelp:

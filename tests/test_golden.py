@@ -5,7 +5,14 @@ exact output format (header, column order, 17-digit floats, empty CSV
 cells and JSON nulls, LF endings), so a change to any writer shows here.
 The seeded walk-validation run also pins what the walk simulators draw
 and compute, so a change to their RNG use or arithmetic shows here too.
+The seeded ``epsilon > 0`` line runs (all three modes, the span
+distribution, the centroid drift and the unilateral sweep) do the same
+for the 1D tick.
 """
+
+import json
+
+import pytest
 
 from lineswarm import __version__
 from lineswarm.cli import EXIT_OK, main
@@ -16,6 +23,7 @@ from lineswarm.experiments import (
     SummaryRow,
     write_results,
 )
+from lineswarm.sim1d import UNILATERAL_RIGHT, new_swarm, run_unilateral_sweep
 
 HAND_TRAJECTORY = (
     "t,centroid,core_span,total_span,x_min,x_max\n"
@@ -24,6 +32,93 @@ HAND_TRAJECTORY = (
     "2,2.1000000000000001,1.25,1.6500000000000004,1.25,2.9000000000000004\n"
     "3,2.1000000000000001,0.34999999999999964,1.25,1.5,2.75\n"
 )
+
+# sim1d --uniform 8 30 --epsilon 0.25 --seed 3 --max-steps 60 --stride 12, per mode:
+# bilateral gathers at t = 47 (an off-stride final row), the one-sided runs time out
+UNIFORM_HEADER = "t,centroid,core_span,total_span,x_min,x_max\n"
+UNIFORM_T0 = (
+    "0,13.397959254203675,21.568777404702889,22.770055357754696,"
+    "0.28533424221887693,23.055389599973573\n"
+)
+UNIFORM_TRAJECTORIES = {
+    "bilateral": (
+        "12,13.897959254203675,13.155098132006703,15.183734630450882,"
+        "5.2853342422188767,20.469068872669759\n"
+        "24,14.147959254203675,6.6373978150559019,8.7700553577546962,"
+        "9.2853342422188767,18.055389599973573\n"
+        "36,13.147959254203675,3.6373978150559019,4.719420346965002,"
+        "10.285334242218877,15.004754589183879\n"
+        "47,13.147959254203675,0.63739781505590187,2.4329710602701109,"
+        "11.571783528913768,14.004754589183879\n"
+    ),
+    "unilateral-right": (
+        "12,12.147959254203675,16.637397815055902,17.770055357754696,"
+        "0.28533424221887693,18.055389599973573\n"
+        "24,11.397959254203675,14.637397815055902,16.719420346965002,"
+        "0.28533424221887693,17.004754589183879\n"
+        "36,10.397959254203675,13.459070981713037,14.183734630450882,"
+        "0.28533424221887693,14.469068872669759\n"
+        "48,9.6479592542036752,12.104463121217009,13.770055357754696,"
+        "0.28533424221887693,14.055389599973573\n"
+        "60,9.1479592542036752,11.459070981713037,12.183734630450882,"
+        "0.28533424221887693,12.469068872669759\n"
+    ),
+    "unilateral-left": (
+        "12,14.647959254203675,16.568777404702889,17.770055357754696,"
+        "5.2853342422188767,23.055389599973573\n"
+        "24,15.397959254203675,13.183734630450882,15.155098132006703,"
+        "7.9002914679668699,23.055389599973573\n"
+        "36,16.397959254203677,10.183734630450882,11.155098132006703,"
+        "11.90029146796687,23.055389599973573\n"
+        "48,17.147959254203677,7.8972853437559909,9.7700553577546962,"
+        "13.285334242218877,23.055389599973573\n"
+        "60,17.647959254203677,7.1097064229898503,7.7700553577546962,"
+        "15.285334242218877,23.055389599973573\n"
+    ),
+}
+
+SAMPLING_SPEC = {"epsilons": [0.2], "agent_counts": [6], "initial_spans": [4.0], "seed": 7,
+                 "warmup": 50, "samples": 2000, "stride": 3, "batches": 10, "horizon": 5000}
+
+SPAN_DISTRIBUTION_CSV = (
+    "k,count,empirical_p,bound_p,markov_p\n"
+    "0,696,1,,\n"
+    "1,1006,0.65200000000000002,,1\n"
+    "2,191,0.14899999999999999,1,0.83333333333333337\n"
+    "3,85,0.053499999999999999,0.4375,0.55555555555555558\n"
+    "4,16,0.010999999999999999,0.15625,0.41666666666666669\n"
+    "5,6,0.0030000000000000001,0.050781249999999993,0.33333333333333337\n"
+    "6,0,0,0.015624999999999998,0.27777777777777779\n"
+    "7,0,0,0.004638671875,0.23809523809523808\n"
+    "8,0,0,0.0013427734374999998,0.20833333333333334\n"
+    "9,0,0,0.00038146972656249995,0.18518518518518517\n"
+    "10,0,0,0.00010681152343749999,0.16666666666666669\n"
+    "11,0,0,2.9563903808593747e-05,0.15151515151515152\n"
+    "12,0,0,8.106231689453125e-06,0.1388888888888889\n"
+)
+
+CENTROID_DRIFT_CSV = (
+    "kind,epsilon,N,S0,trials,mean,stddev,stderr,bound,ratio\n"
+    "centroid-drift:plus,0.20000000000000001,6,,5000,0.1542,,0.0051072959577451553,"
+    "0.16000000000000003,\n"
+    "centroid-drift:zero,0.20000000000000001,6,,5000,0.68679999999999997,,"
+    "0.006559051150890653,0.67999999999999994,\n"
+    "centroid-drift:minus,0.20000000000000001,6,,5000,0.159,,0.0051714408050368326,"
+    "0.16000000000000003,\n"
+    "centroid-drift:msd-per-tick,0.20000000000000001,6,,5000,0.034799999999999998,,,"
+    "0.035555555555555562,\n"
+)
+
+# (seed, max_steps) -> (T, crossings, finished) for a sweep from the positions below
+SWEEP_START = [0.0, 0.5, 1.25, 3.75, 6.0]
+SWEEP_OUTCOMES = {
+    (0, 10_000): (25, 4, True),
+    (1, 10_000): (19, 4, True),
+    (2, 10_000): (15, 4, True),
+    (4, 10_000): (35, 4, True),
+    (4, 30): (30, 1, False),
+    (4, 33): (33, 3, False),
+}
 
 PLANAR_TRAJECTORY = (
     "t,centroid_x,centroid_y,diameter,hull_count\n"
@@ -198,3 +293,31 @@ def test_walk_validation_results(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "results.csv").read_bytes() == WALK_VALIDATION_CSV.encode()
     assert (tmp_path / "results.jsonl").read_bytes() == WALK_VALIDATION_JSONL.encode()
+
+
+@pytest.mark.parametrize("mode", sorted(UNIFORM_TRAJECTORIES))
+def test_seeded_uniform_trajectory(tmp_path, mode):
+    code = main(["sim1d", "--uniform", "8", "30", "--epsilon", "0.25", "--seed", "3",
+                 "--mode", mode, "--max-steps", "60", "--stride", "12", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    expected = UNIFORM_HEADER + UNIFORM_T0 + UNIFORM_TRAJECTORIES[mode]
+    assert (tmp_path / "trajectory.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("kind,expected", [("span-distribution", SPAN_DISTRIBUTION_CSV),
+                                           ("centroid-drift", CENTROID_DRIFT_CSV)])
+def test_seeded_sampling_results(tmp_path, kind, expected):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"kind": kind, **SAMPLING_SPEC}), encoding="utf-8")
+    code = main(["experiment", "--config", str(config), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "results.csv").read_bytes() == expected.encode()
+
+
+def test_seeded_unilateral_sweeps():
+    outcomes = {}
+    for seed, max_steps in SWEEP_OUTCOMES:
+        state = new_swarm(SWEEP_START, 0.2, seed, mode=UNILATERAL_RIGHT)
+        result = run_unilateral_sweep(state, max_steps)
+        outcomes[seed, max_steps] = (result.T, result.crossings, result.finished)
+    assert outcomes == SWEEP_OUTCOMES

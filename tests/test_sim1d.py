@@ -117,6 +117,21 @@ class TestStepSemantics:
         step(s)
         assert sorted(s.positions) == [-0.5, 0.5, 1.5]
 
+    @pytest.mark.parametrize("mode,moved", [(BILATERAL, ((0, 1), (2, -1))),
+                                            (UNILATERAL_RIGHT, ((2, -1),)),
+                                            (UNILATERAL_LEFT, ((0, 1),))])
+    def test_all_coincident_highest_index_is_right(self, mode, moved):
+        s = new_swarm([0.5, 0.5, 0.5], 0.0, 1, mode=mode)
+        assert step(s).moved == moved
+
+    @pytest.mark.parametrize("mode,directions", [(BILATERAL, (1, -1)),
+                                                 (UNILATERAL_RIGHT, (0, -1)),
+                                                 (UNILATERAL_LEFT, (1, 0))])
+    def test_tick_returns_jump_directions(self, mode, directions):
+        s = new_swarm([0.2, 1.4, 6.7], 0.0, 3, mode=mode)
+        assert s.tick() == directions
+        assert s.t == 1
+
     def test_unilateral_right_only_rightmost(self):
         s = new_swarm([0.2, 1.4, 6.7], 0.0, 3, mode=UNILATERAL_RIGHT)
         step(s)

@@ -269,16 +269,7 @@ class TestPrefilter:
     @settings(max_examples=200, deadline=None)
     def test_equals_unfiltered_chain(self, points):
         assert 20 <= len(points) <= 400
-        # a vertex a few ulps off a straight angle can have no bisector; then
-        # both must fail alike
-        def outcome(build, *args):
-            try:
-                return build(*args)
-            except DegenerateConfigurationError as exc:
-                return str(exc)
-
-        oracle = outcome(_monotone_chain, np.array(points), range(len(points)))
-        assert outcome(convex_hull, points) == oracle
+        assert convex_hull(points) == _monotone_chain(np.array(points), range(len(points)))
 
     @pytest.mark.parametrize(
         "points", [[(1.0,)], [(1.0, 2.0), "ab"], [(1.0, 2.0, 3.0), (0.0, 0.0)]]
@@ -315,6 +306,17 @@ class TestBisectors:
         hull = convex_hull([(0, 0), (3, 4)])
         assert bisector_direction(hull, 0) == pytest.approx((0.6, 0.8))
         assert bisector_direction(hull, 1) == pytest.approx((-0.6, -0.8))
+
+    @pytest.mark.parametrize("exponent", [10, 20, 26, 30, 40])
+    def test_vertex_ulps_off_a_straight_angle(self, exponent):
+        # p sits one ulp outside the edge from (3, 1) to (-6, -2), which runs
+        # through the origin; e1 + e2 cancels to (0, 0) or to rounding noise
+        scale = 2.0**-exponent
+        p = (math.nextafter(3.0 * scale, -math.inf), scale)
+        hull = convex_hull([(3, 1), (-6, -2), (1, -4), p])
+        assert hull.vertices == (1, 2, 0, 3)
+        inward = (1 / math.sqrt(10), -3 / math.sqrt(10))
+        assert bisector_direction(hull, 3) == pytest.approx(inward, abs=1e-12)
 
     def test_single_vertex_degenerate(self):
         hull = convex_hull([(1, 1), (1, 1)])
