@@ -232,6 +232,8 @@ def _cmd_experiment(args) -> int:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError(f"config {args.config} must be a JSON object")
     if args.kind is not None:
         raw["kind"] = args.kind
     # flags override file values
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--seed", type=int)
     p_ex.add_argument(
         "--jobs", type=int,
-        help="trial parallelism (default: all cores for sweeps, else 1)",
+        help="trial parallelism, at most the core count (default: all cores for sweeps, else 1)",
     )
     p_ex.add_argument("--max-steps", dest="max_steps", type=int)
     p_ex.add_argument("--out", default=".")

@@ -34,6 +34,7 @@ import json
 import logging
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -317,10 +318,12 @@ def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentResult:
             flat = point_index * spec.trials + trial
             tasks.append((flat, eps, n, s0, spec.seed, spec.max_steps))
 
+    # a fork pool starts all its workers at the first submit, so cap them
+    workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))
     # map keeps input order, so outcomes line up with tasks in both branches
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            chunk = max(1, len(tasks) // (spec.jobs * 8))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
             outcomes = list(pool.map(_convergence_trial, tasks, chunksize=chunk))
     else:
         outcomes = list(map(_convergence_trial, tasks))

@@ -278,28 +278,22 @@ def min_fractional_distance(positions: Sequence[float]) -> float:
 
     ``d = min over pairs of min(|{x_i} - {x_j}|, 1 - |{x_i} - {x_j}|)``,
     always in (0, 1/2].  Unit jumps preserve fractional parts, so ``d``
-    is invariant along any trajectory.  Fractional parts at circular
-    distance zero make ``d`` undefined and raise
-    ``DegenerateConfigurationError``.
+    is invariant along any trajectory.  The bound needs distinct
+    fractional parts: circular distance zero makes ``d`` undefined and
+    raises ``DegenerateConfigurationError``.
     """
     if len(positions) < 2:
         raise ValidationError("need at least two positions")
     fracs = sorted(circular_fraction(x) for x in positions)
-    best = 1.0
-    for a, b in zip(fracs, fracs[1:]):
-        gap = b - a
-        if gap == 0.0:
-            raise DegenerateConfigurationError(
-                "duplicate fractional parts; use the coincident-position mode"
-            )
-        best = min(best, gap)
+    gaps = [b - a for a, b in zip(fracs, fracs[1:])]
     # circular wrap between the largest and smallest fractional part
-    wrap = 1.0 - (fracs[-1] - fracs[0])
-    if wrap == 0.0:
+    gaps.append(1.0 - (fracs[-1] - fracs[0]))
+    best = min(gaps)
+    if best == 0.0:
         raise DegenerateConfigurationError(
-            "duplicate fractional parts; use the coincident-position mode"
+            "duplicate fractional parts; the bound needs distinct fractional parts"
         )
-    return min(best, wrap)
+    return best
 
 
 def gathering_bound_from_terms(
@@ -452,13 +446,16 @@ def reflected_chain_mean(p: WalkParams, tail_tol: float = 1e-15) -> float:
     """
     if p.epsilon == 0.0:
         return 1.0
+    r = p.ratio
+    head = (1.0 - 2.0 * p.epsilon) / (1.0 - p.epsilon)
+    power = 1.0  # r**(k-1) by the multiplies of _ratio_power, so terms match stationary_pi
     total = 0.0
     k = 1
     while True:
-        term = k * stationary_pi(p, k)
-        total += term
+        total += k * (power * head)
+        power *= r
         # remaining tail < (k+1) * P(X >= k+1) / (1 - ratio)
-        if (k + 1) * tail_prob_single(p, k + 1) / (1.0 - p.ratio) < tail_tol:
+        if (k + 1) * power / (1.0 - r) < tail_tol:
             return total
         k += 1
         if k > 100_000:

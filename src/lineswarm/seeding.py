@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_POOL_SIZE = 4096
+_MAX_BLOCK = 4096
 
 
 def sub_seed(seed: int, purpose: str, index: int = 0) -> np.random.SeedSequence:
@@ -31,25 +31,28 @@ def child_seed(seed: int, purpose: str, index: int = 0) -> int:
 
 
 class DrawPool:
-    """Uniform draws on [0, 1) from ``rng``, fetched in blocks of 4096.
+    """Uniform draws on [0, 1) from ``rng``, in blocks of 16 doubling to 4096.
 
-    The stream is consumed in the same fixed-size blocks however a state
-    is advanced, so the sequence of draws never depends on the caller.
-    States store the bound `draw` method: calling a stored bound method
-    is cheaper per draw than a ``__call__`` on the pool.
+    A PCG64 double takes one 64-bit word whatever the block size, so the
+    draws are those of one ``rng.random(n)`` call however the blocks fall,
+    and a short trial fetches few more uniforms than it uses.  States
+    store the bound `draw` method: calling a stored bound method is
+    cheaper per draw than a ``__call__`` on the pool.
     """
 
-    __slots__ = ("_rng", "_pool", "_i")
+    __slots__ = ("_rng", "_pool", "_i", "_block")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self._pool: list[float] = []
         self._i = 0
+        self._block = 16
 
     def draw(self) -> float:
         i = self._i
         if i >= len(self._pool):
-            self._pool = self._rng.random(_POOL_SIZE).tolist()
+            self._pool = self._rng.random(self._block).tolist()
+            self._block = min(2 * self._block, _MAX_BLOCK)
             i = 0
         self._i = i + 1
         return self._pool[i]

@@ -37,6 +37,10 @@ Two theorem-backed invariants are checked on every tick and raise
 * in bilateral mode, once the core span drops to <= 1 it never exceeds
   1 again.  (This is false in unilateral modes, where the frozen far
   extremist is counted in the core; the check is bilateral-only.)
+
+`SwarmState1D.gathered`, the one gathering test, is ``core_span <= 1``
+after construction and after every tick in every mode; in the
+unilateral modes it can fall back to False.
 """
 
 from __future__ import annotations
@@ -105,16 +109,14 @@ class SwarmState1D:
     """Sorted agent positions plus tick counter and a seeded RNG stream.
 
     Mutable; confined to one execution context at a time.  All stepping
-    draws come from an internal buffer refilled from the PCG64 stream in
-    fixed-size blocks, so every way of advancing the state consumes the
-    identical sequence of uniforms.
+    draws come from a `DrawPool` on the PCG64 stream, so every way of
+    advancing the state consumes the identical sequence of uniforms.
     """
 
     __slots__ = (
         "params",
         "mode",
         "t",
-        "coincident_start",
         "gathered",
         "invariant_checks",
         "_pos",
@@ -140,9 +142,7 @@ class SwarmState1D:
         self.t = 0
         self._pos = pos
         self._draw = DrawPool(rng).draw
-        fracs = set(circular_fraction(x) for x in pos)
-        self.coincident_start = len(fracs) < len(pos)
-        self.gathered = self.core_span <= 1.0 if mode == BILATERAL else False
+        self.gathered = self.core_span <= 1.0
         self.invariant_checks = 0
 
     # -- observers ---------------------------------------------------------
@@ -189,7 +189,6 @@ class SwarmState1D:
         if check_core:
             x2_before = pos[1]
             xp_before = pos[-2]
-            core_before = xp_before - x2_before
 
         mode = self.mode
         lo = pos[0]
@@ -209,23 +208,19 @@ class SwarmState1D:
         self.t += 1
 
         if check_core:
-            if core_before > 1.0:
+            if not self.gathered:
                 if pos[1] < x2_before or pos[-2] > xp_before:
                     raise InvariantViolationError(
                         f"core edge moved outward at t={self.t}: "
                         f"x2 {x2_before} -> {pos[1]}, "
                         f"x_(N-1) {xp_before} -> {pos[-2]}"
                     )
-            if mode == BILATERAL:
-                core_after = pos[-2] - pos[1]
-                if self.gathered:
-                    if core_after > 1.0:
-                        raise InvariantViolationError(
-                            f"gathered core reopened at t={self.t}: "
-                            f"core span {core_after}"
-                        )
-                elif core_after <= 1.0:
-                    self.gathered = True
+            core_after = pos[-2] - pos[1]
+            if core_after > 1.0 and self.gathered and mode == BILATERAL:
+                raise InvariantViolationError(
+                    f"gathered core reopened at t={self.t}: core span {core_after}"
+                )
+            self.gathered = core_after <= 1.0
             self.invariant_checks += 1
         return d_left, d_right
 
@@ -312,10 +307,10 @@ def run_until_gathered(
     sink: Callable[[TrajectoryRow], None] | None = None,
     stride: int = 1,
 ) -> GatheringResult:
-    """Step until the core span drops to <= 1, or ``max_steps`` ticks pass.
+    """Step until ``state.gathered``, or ``max_steps`` ticks pass.
 
     For ``N <= 3`` the core span is 0 by definition and T = 0.  When a
-    ``sink`` is given, a trajectory row is emitted at t=0 and every
+    ``sink`` is given, a trajectory row is emitted at entry and every
     ``stride`` ticks thereafter (plus the final tick).
     """
     if max_steps < 0:
@@ -324,21 +319,17 @@ def run_until_gathered(
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if sink is not None:
         _emit(state, sink)
-    if state.core_span <= 1.0:
-        return GatheringResult(state.t, True, state)
+    t0 = state.t
     tick = state.tick
-    pos = state._pos
     for _ in range(max_steps):
+        if state.gathered:
+            break
         tick()
         if sink is not None and state.t % stride == 0:
             _emit(state, sink)
-        if pos[-2] - pos[1] <= 1.0:
-            if sink is not None and state.t % stride != 0:
-                _emit(state, sink)
-            return GatheringResult(state.t, True, state)
-    if sink is not None and max_steps and state.t % stride != 0:
+    if sink is not None and state.t != t0 and state.t % stride != 0:
         _emit(state, sink)
-    return GatheringResult(state.t, False, state)
+    return GatheringResult(state.t, state.gathered, state)
 
 
 def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
@@ -347,17 +338,19 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
     The beacon is the leftmost agent at entry; it never moves during the
     sweep (only the rightmost agent does, and the run stops the moment
     the beacon is rightmost).  On completion every other agent sits in
-    ``(beacon - 1, beacon]``, having jumped over the beacon exactly once;
-    the number of leftward beacon crossings is counted and verified.
+    ``(beacon - 1, beacon]``.  Each agent strictly above the beacon at
+    entry jumps over it exactly once, and one that already sits at the
+    beacon never does; the number of leftward beacon crossings is
+    counted and verified against that.
     """
     if state.mode != UNILATERAL_RIGHT:
         raise ValidationError("sweep requires unilateral-right mode")
-    beacon = state._pos[0]
-    n_others = state.n_agents - 1
-    if n_others < 1:
+    if state.n_agents < 2:
         raise ValidationError("need at least one agent besides the beacon")
-    crossings = 0
     pos = state._pos
+    beacon = pos[0]
+    above = sum(x > beacon for x in pos)
+    crossings = 0
     tick = state.tick
     for _ in range(max_steps):
         if pos[-1] <= beacon:
@@ -368,9 +361,9 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
             crossings += 1
     finished = pos[-1] <= beacon
     if finished:
-        if crossings != n_others:
+        if crossings != above:
             raise InvariantViolationError(
-                f"expected {n_others} beacon crossings, counted {crossings}"
+                f"expected {above} beacon crossings, counted {crossings}"
             )
         if not all(beacon - 1.0 < x <= beacon for x in pos):
             raise InvariantViolationError(

@@ -232,13 +232,16 @@ class TestExperiment:
                                     "agent_counts": [10], "trials": 2}],
         ["experiment", "--config", {"kind": "convergence-vs-N", "initial_spans": [math.inf],
                                     "agent_counts": [10], "trials": 2}],
+        ["experiment", "--config", None],
+        ["experiment", "--config", 5],
+        ["experiment", "--config", ["kind"]],
     ],
 )
 def test_malformed_input_is_user_error(argv, tmp_path, capsys):
-    if isinstance(argv[-1], dict):
+    if argv[1] == "--config":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(argv[-1]))
-        argv = argv[:-1] + [str(config)]
+        config.write_text(json.dumps(argv[2]))
+        argv = argv[:2] + [str(config)]
     else:
         argv = argv + ["--epsilon", "0.1", "--seed", "1"]
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USER

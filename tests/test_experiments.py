@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lineswarm import experiments
 from lineswarm.errors import ValidationError
 from lineswarm.experiments import (
     SPAN_COLUMNS,
@@ -152,6 +154,36 @@ class TestConvergenceSweep:
         parallel = run_convergence_sweep(small_sweep_spec(trials=6, jobs=2))
         assert serial.summary_rows == parallel.summary_rows
         assert serial.points == parallel.points
+
+    def test_pool_workers_capped(self, monkeypatch):
+        # a stand-in pool that records its size and maps in-process, so no
+        # real pool is started with a huge jobs value
+        built = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        serial = run_convergence_sweep(small_sweep_spec(trials=6))
+        capped = run_convergence_sweep(small_sweep_spec(trials=6, jobs=10**6))
+        assert all(w <= (os.cpu_count() or 1) for w in built)
+        assert capped.summary_rows == serial.summary_rows
+        assert capped.points == serial.points
+        built.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one_cpu = run_convergence_sweep(small_sweep_spec(trials=6, jobs=10**6))
+        assert built == []
+        assert one_cpu.points == serial.points
 
     def test_stderr_shrinks_like_inverse_sqrt_trials(self):
         # quadrupling trials should roughly halve the standard error

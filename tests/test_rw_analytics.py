@@ -1,6 +1,7 @@
 """Closed-form analytics against independent oracles and pinned values."""
 
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -372,3 +373,18 @@ class TestReflectedChainMean:
         p = WalkParams(eps)
         expect = 1.0 if eps == 0.0 else (1 - eps) / (1 - 2 * eps)
         assert reflected_chain_mean(p) == pytest.approx(expect, rel=1e-10)
+
+    def test_near_half_ends(self):
+        # 12,372 terms; the alarm turns a per-term rerun of the power into a
+        # failure instead of a long wait
+        def too_slow(signum, frame):
+            raise TimeoutError("reflected_chain_mean(0.499) did not end")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            mean = reflected_chain_mean(WalkParams(0.499))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert mean == 250.49999999999673

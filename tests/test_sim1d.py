@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineswarm.errors import InvariantViolationError, ValidationError
+from lineswarm.seeding import DrawPool
 from lineswarm.rw_analytics import (
     WalkParams,
     min_fractional_distance,
@@ -50,10 +51,6 @@ class TestConstruction:
     def test_single_agent_ok(self):
         s = new_swarm([0.5], 0.1, 1)
         assert s.n_agents == 1
-
-    def test_coincident_flagged(self):
-        assert new_swarm([0.5, 0.5], 0.1, 1).coincident_start
-        assert not new_swarm([0.5, 0.7], 0.1, 1).coincident_start
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -227,6 +224,20 @@ class TestGathering:
         assert not res.reached
         assert [r.t for r in rows] == ts
 
+    @given(lattice_positions, epsilons_st, st.integers(0, 2**32), modes_st,
+           st.integers(0, 200))
+    @settings(max_examples=80, deadline=None)
+    def test_gathered_is_core_span_test(self, positions, eps, seed, mode, max_steps):
+        # one gathering test in every mode: at construction, after every
+        # tick, and as the verdict of run_until_gathered
+        s = new_swarm(positions, eps, seed, mode)
+        assert s.gathered == (s.core_span <= 1.0)
+        for _ in range(30):
+            s.tick()
+            assert s.gathered == (s.core_span <= 1.0)
+        res = run_until_gathered(s, max_steps)
+        assert res.reached == s.gathered == (s.core_span <= 1.0)
+
     def test_trajectory_rows_strictly_increasing(self):
         rows = []
         s = new_swarm(np.random.default_rng(8).uniform(0, 40, 20), 0.1, 11)
@@ -271,7 +282,7 @@ class TestGathering:
         # duplicate positions (and fractional parts) still gather; the
         # one-mover-per-cluster rule keeps every tick well defined
         s = new_swarm([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99)
-        assert s.coincident_start
+        assert len(set(s.fractional_parts())) < s.n_agents
         res = run_until_gathered(s, 1_000_000)
         assert res.reached
         assert res.final_state.core_span <= 1.0
@@ -359,6 +370,13 @@ class TestDeterminism:
             step(clone)
             assert clone.positions == s.positions
 
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_draw_pool_blocks_match_one_call(self, seed, n):
+        pool = DrawPool(np.random.Generator(np.random.PCG64(seed)))
+        drawn = [pool.draw() for _ in range(n)]
+        assert drawn == np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
+
     def test_step_loop_matches_run_loop(self):
         rng = np.random.default_rng(3)
         pos = rng.uniform(0, 25, 9)
@@ -382,6 +400,15 @@ class TestUnilateralSweep:
         res = run_unilateral_sweep(s, 100)
         assert res.finished and res.T == 3
         assert res.crossings == 2
+
+    @pytest.mark.parametrize("positions", [[0.0, 0.0, 1.5], [0.0, -0.0, 2.0]])
+    def test_agent_at_beacon_never_crosses(self, positions):
+        # only agents strictly above the beacon at entry have to cross it
+        for seed in range(20):
+            s = new_swarm(positions, 0.1, seed, mode=UNILATERAL_RIGHT)
+            res = run_unilateral_sweep(s, 100_000)
+            assert res.finished and res.crossings == 1
+            assert all(-1.0 < x <= 0.0 for x in res.final_state.positions)
 
     def test_requires_unilateral_mode(self):
         with pytest.raises(ValidationError):
