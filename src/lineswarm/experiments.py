@@ -387,9 +387,7 @@ def _gather_for_sampling(spec: ExperimentSpec):
             f"cannot sample: core not gathered within max_steps={spec.max_steps} "
             f"(eps={eps}, N={n}, S0={s0}); raise max_steps or shrink S0"
         )
-    tick = state.tick
-    for _ in range(spec.warmup):
-        tick()
+    state.advance(spec.warmup)
     return state, p
 
 
@@ -399,11 +397,8 @@ def run_span_distribution(spec: ExperimentSpec) -> ExperimentResult:
         raise ValidationError(f"not a span-distribution spec: {spec.kind}")
     state, p = _gather_for_sampling(spec)
     spans = np.empty(spec.samples)
-    tick = state.tick
-    stride = spec.stride
     for i in range(spec.samples):
-        for _ in range(stride):
-            tick()
+        state.advance(spec.stride)
         spans[i] = state.total_span
 
     k_max = max(12, int(math.ceil(spans.max())))

@@ -35,24 +35,32 @@ class DrawPool:
 
     A PCG64 double takes one 64-bit word whatever the block size, so the
     draws are those of one ``rng.random(n)`` call however the blocks fall,
-    and a short trial fetches few more uniforms than it uses.  States
-    store the bound `draw` method: calling a stored bound method is
-    cheaper per draw than a ``__call__`` on the pool.
+    and a short trial fetches few more uniforms than it uses.  The next
+    draw is ``block[i]``.  A hot loop reads ``block`` and ``i`` directly,
+    calls `refill` when ``i`` reaches the end of the block, and stores
+    ``i`` back.  `sim2d` stores the bound `draw` method instead: calling a
+    stored bound method is cheaper per draw than a ``__call__`` on the pool.
     """
 
-    __slots__ = ("_rng", "_pool", "_i", "_block")
+    __slots__ = ("_rng", "block", "i", "_size")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._pool: list[float] = []
-        self._i = 0
-        self._block = 16
+        self.block: list[float] = []
+        self.i = 0
+        self._size = 16
+
+    def refill(self) -> list[float]:
+        """Fetch the next block, set ``i`` to 0 and return the block."""
+        self.block = self._rng.random(self._size).tolist()
+        self._size = min(2 * self._size, _MAX_BLOCK)
+        self.i = 0
+        return self.block
 
     def draw(self) -> float:
-        i = self._i
-        if i >= len(self._pool):
-            self._pool = self._rng.random(self._block).tolist()
-            self._block = min(2 * self._block, _MAX_BLOCK)
+        i = self.i
+        if i >= len(self.block):
+            self.refill()
             i = 0
-        self._i = i + 1
-        return self._pool[i]
+        self.i = i + 1
+        return self.block[i]

@@ -16,10 +16,12 @@ several agents share an extremal position exactly one of them (the
 lowest storage index) moves that tick, and if *all* agents coincide the
 lowest index acts as the left extremist and the highest as the right.
 
-`SwarmState1D.tick` is the one update: it draws for the left end, then
-the right, skipping the end the mode keeps still, and returns the jump
-directions ``(d_left, d_right)``, 0 for a side that did not move.  Only
-`step` reports the movers' pre-tick storage indices (`StepOutcome.moved`).
+`SwarmState1D.advance` is the one update: it runs many ticks in one
+loop, optionally stopping once gathered.  Each tick draws for the left
+end, then the right, skipping the end the mode keeps still.
+`SwarmState1D.tick` is ``advance(1)`` and returns the jump directions
+``(d_left, d_right)``, 0 for a side that did not move.  Only `step`
+reports the movers' pre-tick storage indices (`StepOutcome.moved`).
 
 Positions are plain doubles validated to ``|x| < 2**52``.  Unit jumps
 are then exactly representable whenever the positions live on a dyadic
@@ -120,7 +122,7 @@ class SwarmState1D:
         "gathered",
         "invariant_checks",
         "_pos",
-        "_draw",
+        "_pool",
     )
 
     def __init__(
@@ -141,7 +143,7 @@ class SwarmState1D:
         self.mode = mode
         self.t = 0
         self._pos = pos
-        self._draw = DrawPool(rng).draw
+        self._pool = DrawPool(rng)
         self.gathered = self.core_span <= 1.0
         self.invariant_checks = 0
 
@@ -178,50 +180,77 @@ class SwarmState1D:
 
     def tick(self) -> tuple[int, int]:
         """Advance one tick; returns ``(d_left, d_right)``, 0 for a side that did not move."""
+        return self.advance(1)
+
+    def advance(self, ticks: int, until_gathered: bool = False) -> tuple[int, int]:
+        """Run ``ticks`` ticks, stopping early once gathered if ``until_gathered``.
+
+        Returns the last tick's ``(d_left, d_right)``, or ``(0, 0)`` when no
+        tick ran.  Draws are read straight from the pool's block.  On a
+        raise, the state and the pool are left as the failing tick left
+        them, with ``t`` counting that tick.
+        """
         pos = self._pos
         n = len(pos)
-        if n == 1:
-            self.t += 1
+        if n == 1:  # nothing moves, and one agent is always gathered
+            if not until_gathered:
+                self.t += ticks
             return 0, 0
 
-        keep = 1.0 - self.params.epsilon
-        check_core = n >= 4
-        if check_core:
-            x2_before = pos[1]
-            xp_before = pos[-2]
-
         mode = self.mode
-        lo = pos[0]
-        hi = pos[-1]
+        move_left = mode != UNILATERAL_RIGHT
+        move_right = mode != UNILATERAL_LEFT
+        check_core = n >= 4
+        keep = 1.0 - self.params.epsilon
+        pool = self._pool
+        draws, i = pool.block, pool.i
+        end = len(draws)
+        t, gathered, checks = self.t, self.gathered, self.invariant_checks
         d_left = d_right = 0
-        if mode != UNILATERAL_RIGHT:
-            d_left = 1 if self._draw() < keep else -1
-        if mode != UNILATERAL_LEFT:
-            d_right = -1 if self._draw() < keep else 1
-            del pos[-1]
-        if d_left:
-            del pos[0]
-            insort(pos, lo + d_left)
-        if d_right:
-            insort(pos, hi + d_right)
+        try:
+            for _ in range(ticks):
+                if until_gathered and gathered:
+                    break
+                if check_core:
+                    x2_before, xp_before = pos[1], pos[-2]
+                lo, hi = pos[0], pos[-1]
+                if move_left:
+                    if i == end:
+                        draws, i = pool.refill(), 0
+                        end = len(draws)
+                    d_left = 1 if draws[i] < keep else -1
+                    i += 1
+                if move_right:
+                    if i == end:
+                        draws, i = pool.refill(), 0
+                        end = len(draws)
+                    d_right = -1 if draws[i] < keep else 1
+                    i += 1
+                    del pos[-1]
+                if d_left:
+                    del pos[0]
+                    insort(pos, lo + d_left)
+                if d_right:
+                    insort(pos, hi + d_right)
+                t += 1
 
-        self.t += 1
-
-        if check_core:
-            if not self.gathered:
-                if pos[1] < x2_before or pos[-2] > xp_before:
-                    raise InvariantViolationError(
-                        f"core edge moved outward at t={self.t}: "
-                        f"x2 {x2_before} -> {pos[1]}, "
-                        f"x_(N-1) {xp_before} -> {pos[-2]}"
-                    )
-            core_after = pos[-2] - pos[1]
-            if core_after > 1.0 and self.gathered and mode == BILATERAL:
-                raise InvariantViolationError(
-                    f"gathered core reopened at t={self.t}: core span {core_after}"
-                )
-            self.gathered = core_after <= 1.0
-            self.invariant_checks += 1
+                if check_core:
+                    if not gathered and (pos[1] < x2_before or pos[-2] > xp_before):
+                        raise InvariantViolationError(
+                            f"core edge moved outward at t={t}: "
+                            f"x2 {x2_before} -> {pos[1]}, "
+                            f"x_(N-1) {xp_before} -> {pos[-2]}"
+                        )
+                    core_after = pos[-2] - pos[1]
+                    if core_after > 1.0 and gathered and mode == BILATERAL:
+                        raise InvariantViolationError(
+                            f"gathered core reopened at t={t}: core span {core_after}"
+                        )
+                    gathered = core_after <= 1.0
+                    checks += 1
+        finally:
+            pool.i = i
+            self.t, self.gathered, self.invariant_checks = t, gathered, checks
         return d_left, d_right
 
 
@@ -317,18 +346,18 @@ def run_until_gathered(
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    if sink is not None:
+    if sink is None:
+        state.advance(max_steps, until_gathered=True)
+    else:
         _emit(state, sink)
-    t0 = state.t
-    tick = state.tick
-    for _ in range(max_steps):
-        if state.gathered:
-            break
-        tick()
-        if sink is not None and state.t % stride == 0:
+        t0 = state.t
+        end = t0 + max_steps
+        while state.t < end and not state.gathered:
+            state.advance(min(end - state.t, stride - state.t % stride), until_gathered=True)
+            if state.t % stride == 0:
+                _emit(state, sink)
+        if state.t != t0 and state.t % stride != 0:
             _emit(state, sink)
-    if sink is not None and state.t != t0 and state.t % stride != 0:
-        _emit(state, sink)
     return GatheringResult(state.t, state.gathered, state)
 
 

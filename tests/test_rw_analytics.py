@@ -377,14 +377,25 @@ class TestReflectedChainMean:
     def test_near_half_ends(self):
         # 12,372 terms; the alarm turns a per-term rerun of the power into a
         # failure instead of a long wait
-        def too_slow(signum, frame):
-            raise TimeoutError("reflected_chain_mean(0.499) did not end")
+        assert mean_within(WalkParams(0.499), 2.0) == 250.49999999999673
 
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
-            mean = reflected_chain_mean(WalkParams(0.499))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-        assert mean == 250.49999999999673
+    def test_past_old_term_cap(self):
+        # more than 100,000 terms: this once raised "series failed to converge"
+        eps = 0.4999
+        mean = mean_within(WalkParams(eps), 2.0)
+        assert mean == pytest.approx((1 - eps) / (1 - 2 * eps), rel=1e-9)
+
+
+def mean_within(p, seconds):
+    """`reflected_chain_mean(p)`, or a TimeoutError after ``seconds``."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"reflected_chain_mean({p.epsilon}) did not end")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return reflected_chain_mean(p)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,11 +1,12 @@
 """State-machine semantics, conservation laws, and walk simulators."""
 
 import math
+from bisect import insort
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lineswarm.errors import InvariantViolationError, ValidationError
@@ -386,6 +387,150 @@ class TestDeterminism:
         for _ in range(res.T):
             step(s2)
         assert s1.positions == s2.positions
+
+
+class ReferenceSwarm:
+    """Per-tick reference for `SwarmState1D.advance`, which must match it bit for bit.
+
+    The same tick body with one `DrawPool.draw` call per draw and one
+    method call per tick.
+    """
+
+    def __init__(self, positions, eps, seed, mode):
+        self.pos = sorted(float(x) for x in positions)
+        self.keep = 1.0 - eps
+        self.mode = mode
+        self.draw = DrawPool(np.random.Generator(np.random.PCG64(seed))).draw
+        self.t = 0
+        self.gathered = len(self.pos) < 4 or self.pos[-2] - self.pos[1] <= 1.0
+        self.checks = 0
+
+    def tick(self):
+        pos = self.pos
+        n = len(pos)
+        if n == 1:
+            self.t += 1
+            return 0, 0
+        if n >= 4:
+            x2_before, xp_before = pos[1], pos[-2]
+        lo, hi = pos[0], pos[-1]
+        d_left = d_right = 0
+        if self.mode != UNILATERAL_RIGHT:
+            d_left = 1 if self.draw() < self.keep else -1
+        if self.mode != UNILATERAL_LEFT:
+            d_right = -1 if self.draw() < self.keep else 1
+            del pos[-1]
+        if d_left:
+            del pos[0]
+            insort(pos, lo + d_left)
+        if d_right:
+            insort(pos, hi + d_right)
+        self.t += 1
+        if n >= 4:
+            if not self.gathered and (pos[1] < x2_before or pos[-2] > xp_before):
+                raise InvariantViolationError(
+                    f"core edge moved outward at t={self.t}: "
+                    f"x2 {x2_before} -> {pos[1]}, x_(N-1) {xp_before} -> {pos[-2]}"
+                )
+            core_after = pos[-2] - pos[1]
+            if core_after > 1.0 and self.gathered and self.mode == BILATERAL:
+                raise InvariantViolationError(
+                    f"gathered core reopened at t={self.t}: core span {core_after}"
+                )
+            self.gathered = core_after <= 1.0
+            self.checks += 1
+        return d_left, d_right
+
+    def run(self, ticks, until_gathered):
+        last = (0, 0)
+        for _ in range(ticks):
+            if until_gathered and self.gathered:
+                break
+            last = self.tick()
+        return last
+
+
+def outcome(run):
+    try:
+        return "returned", run()
+    except InvariantViolationError as exc:
+        return "raised", str(exc)
+
+
+# quarter-unit positions: spans up to 512 take hundreds of ticks to gather,
+# and small draws repeat values, so coincident agents are common
+spread_positions = st.lists(
+    st.integers(min_value=-(2**10), max_value=2**10).map(lambda k: k * 0.25),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestAdvance:
+    @given(spread_positions, epsilons_st, st.integers(0, 2**32), modes_st,
+           st.integers(0, 700), st.booleans())
+    @example([0.0], 0.1, 1, BILATERAL, 50, False)
+    @example([0.5, 0.5, 0.5], 0.1, 2, BILATERAL, 300, False)
+    @example([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99, BILATERAL, 400, False)
+    @example([0.0, 0.0, 0.0, 0.0, 0.0], 0.3, 5, UNILATERAL_LEFT, 500, False)
+    @example([-256.0, -100.0, 3.25, 50.5, 256.0], 0.2, 3, BILATERAL, 700, True)
+    @settings(max_examples=150, deadline=None)
+    def test_advance_matches_reference_ticks(self, positions, eps, seed, mode, ticks,
+                                             until_gathered):
+        # the pool refills after 16, 48, 112, 240, 496 and 1008 draws
+        s = new_swarm(positions, eps, seed, mode)
+        ref = ReferenceSwarm(positions, eps, seed, mode)
+        assert outcome(lambda: s.advance(ticks, until_gathered)) == outcome(
+            lambda: ref.run(ticks, until_gathered))
+        assert s.positions == tuple(ref.pos)
+        assert (s.t, s.gathered, s.invariant_checks) == (ref.t, ref.gathered, ref.checks)
+        assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
+
+    def test_raise_leaves_state_as_tick_does(self):
+        def forced():
+            s = new_swarm([0.0, 20.0, 50.0, 90.0, 120.0], 0.1, 7)
+            s.advance(20)  # a few ticks in, so the pool is mid-block
+            s.gathered = True
+            return s
+
+        by_tick, by_advance = forced(), forced()
+        with pytest.raises(InvariantViolationError) as tick_error:
+            by_tick.tick()
+        with pytest.raises(InvariantViolationError) as advance_error:
+            by_advance.advance(5)
+        assert str(advance_error.value) == str(tick_error.value)
+        assert "reopened at t=21" in str(tick_error.value)
+        assert by_advance.t == by_tick.t == 21
+        assert by_advance.positions == by_tick.positions
+        assert by_advance._pool.i == by_tick._pool.i
+        assert by_advance._pool.block == by_tick._pool.block
+        assert by_advance.invariant_checks == by_tick.invariant_checks
+
+    @given(spread_positions, st.integers(0, 2**32), st.integers(0, 400),
+           st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_gathering_rows_match_tick_loop(self, positions, seed, max_steps, stride):
+        # the stride chunks of run_until_gathered emit the rows of a per-tick loop
+        rows = []
+        res = run_until_gathered(new_swarm(positions, 0.2, seed), max_steps,
+                                 sink=rows.append, stride=stride)
+        s = new_swarm(positions, 0.2, seed)
+        want = [metrics_row(s)]
+        for _ in range(max_steps):
+            if s.gathered:
+                break
+            s.tick()
+            if s.t % stride == 0:
+                want.append(metrics_row(s))
+        if s.t and s.t % stride:
+            want.append(metrics_row(s))
+        assert rows == want
+        assert (res.T, res.reached) == (s.t, s.gathered)
+
+
+def metrics_row(s):
+    pos = s.positions
+    return (s.t, s.centroid(), s.core_span, s.total_span, pos[0], pos[-1])
 
 
 class TestUnilateralSweep:
