@@ -35,11 +35,11 @@ from . import __version__
 from .errors import ValidationError
 from .experiments import (
     CONVERGENCE_KINDS,
-    END_GAP,
     ExperimentSpec,
     format_cell,
     row_writer,
     run_experiment,
+    uniform_start,
     write_results,
 )
 from .rw_analytics import (
@@ -134,6 +134,12 @@ def _check_extent(flag: str, value: float) -> None:
         raise ValidationError(f"{flag} must be finite and >= 0, got {value}")
 
 
+def _check_count(flag: str, value: int, minimum: int) -> None:
+    # run before the trajectory file is opened, so a rejected run leaves it intact
+    if value < minimum:
+        raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -143,6 +149,8 @@ def _out_dir(args) -> Path:
 def _cmd_sim1d(args) -> int:
     if (args.positions is None) == (args.uniform is None):
         raise ValidationError("give exactly one of --positions or --uniform N S0")
+    _check_count("--max-steps", args.max_steps, 0)
+    _check_count("--stride", args.stride, 1)
     if args.positions is not None:
         positions = _parse_positions(args.positions)
     else:
@@ -153,8 +161,7 @@ def _cmd_sim1d(args) -> int:
         if n < 1:
             raise ValidationError(f"--uniform N must be >= 1, got {n}")
         _check_extent("--uniform S0", s0)
-        rng = np.random.default_rng(child_seed(args.seed, "cli-sim1d-init", 0))
-        positions = np.sort(rng.uniform(0.0, 1.0 + s0 + END_GAP, n)).tolist()
+        positions = uniform_start(args.seed, "cli-sim1d-init", 0, n, s0)
 
     state = new_swarm(
         positions, args.epsilon, child_seed(args.seed, "cli-sim1d-dyn", 0), mode=args.mode
@@ -196,6 +203,8 @@ def _parse_points(raw: str) -> list[tuple[float, float]]:
 def _cmd_sim2d(args) -> int:
     if (args.points is None) == (args.n is None):
         raise ValidationError("give exactly one of --points or --n (with --side)")
+    _check_count("--steps", args.steps, 1)
+    _check_count("--stride", args.stride, 1)
     if args.points is not None:
         points = _parse_points(args.points)
     else:

@@ -81,6 +81,7 @@ __all__ = [
     "run_centroid_drift",
     "run_walk_validation",
     "run_experiment",
+    "uniform_start",
     "write_results",
     "format_cell",
     "row_writer",
@@ -287,6 +288,12 @@ def batch_mean_stderr(samples: np.ndarray, batches: int) -> float:
     return float(means.std(ddof=1) / math.sqrt(batches))
 
 
+def uniform_start(seed: int, purpose: str, index: int, n: int, s0: float) -> np.ndarray:
+    """``n`` sorted uniforms on ``[0, 1 + s0 + END_GAP]``, seeded by ``(seed, purpose, index)``."""
+    rng = np.random.default_rng(child_seed(seed, purpose, index))
+    return np.sort(rng.uniform(0.0, 1.0 + s0 + END_GAP, n))
+
+
 # -- convergence sweeps ------------------------------------------------------
 
 
@@ -294,8 +301,7 @@ def _convergence_trial(args: tuple) -> tuple[int, float, bool]:
     """One gathering trial; top-level so process pools can pickle it."""
     flat_index, eps, n, s0, seed, max_steps = args
     p = WalkParams(eps)
-    init_rng = np.random.default_rng(child_seed(seed, "convergence-init", flat_index))
-    positions = np.sort(init_rng.uniform(0.0, 1.0 + s0 + END_GAP, n))
+    positions = uniform_start(seed, "convergence-init", flat_index, n, s0)
     bound = gathering_time_bound(InitialConfiguration(tuple(positions), p))
     state = new_swarm(positions, p, child_seed(seed, "convergence-dyn", flat_index))
     res = run_until_gathered(state, max_steps)
@@ -378,8 +384,7 @@ def _gather_for_sampling(spec: ExperimentSpec):
     n = spec.agent_counts[0]
     s0 = spec.initial_spans[0]
     p = WalkParams(eps)
-    init_rng = np.random.default_rng(child_seed(spec.seed, "sampling-init", 0))
-    positions = np.sort(init_rng.uniform(0.0, 1.0 + s0 + END_GAP, n))
+    positions = uniform_start(spec.seed, "sampling-init", 0, n, s0)
     state = new_swarm(positions, p, child_seed(spec.seed, "sampling-dyn", 0))
     res = run_until_gathered(state, spec.max_steps)
     if not res.reached:
@@ -442,10 +447,10 @@ def run_centroid_drift(spec: ExperimentSpec) -> ExperimentResult:
     state, p = _gather_for_sampling(spec)
     n = state.n_agents
     ticks = spec.horizon
-    tick = state.tick
+    advance = state.advance
     up = down = 0
     for _ in range(ticks):
-        d_left, d_right = tick()
+        d_left, d_right = advance(1)
         s = d_left + d_right
         if s == 2:
             up += 1

@@ -12,16 +12,16 @@ tick only the extremal agents move, by exactly one unit:
 
 Conventions where the rule alone underdetermines behaviour: a single
 agent stays put; with two agents both are extremal and both move; when
-several agents share an extremal position exactly one of them (the
-lowest storage index) moves that tick, and if *all* agents coincide the
-lowest index acts as the left extremist and the highest as the right.
+several agents share an extremal position exactly one of them moves that
+tick, and if *all* agents coincide one moves as the left extremist and
+one as the right.  Agents are indistinguishable, so these rules fix the
+multiset of positions after every tick.
 
 `SwarmState1D.advance` is the one update: it runs many ticks in one
-loop, optionally stopping once gathered.  Each tick draws for the left
-end, then the right, skipping the end the mode keeps still.
-`SwarmState1D.tick` is ``advance(1)`` and returns the jump directions
-``(d_left, d_right)``, 0 for a side that did not move.  Only `step`
-reports the movers' pre-tick storage indices (`StepOutcome.moved`).
+loop, optionally stopping once gathered, and returns the last tick's
+jump directions ``(d_left, d_right)``, 0 for a side that did not move.
+Each tick draws for the left end, then the right, skipping the end the
+mode keeps still.
 
 Positions are plain doubles validated to ``|x| < 2**52``.  Unit jumps
 are then exactly representable whenever the positions live on a dyadic
@@ -48,7 +48,7 @@ unilateral modes it can fall back to False.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,7 +64,6 @@ __all__ = [
     "UNILATERAL_LEFT",
     "MODES",
     "SwarmState1D",
-    "StepOutcome",
     "TrajectoryRow",
     "GatheringResult",
     "SweepResult",
@@ -73,7 +72,6 @@ __all__ = [
     "ChainOccupancy",
     "Metrics",
     "new_swarm",
-    "step",
     "run_until_gathered",
     "run_unilateral_sweep",
     "metrics",
@@ -111,8 +109,8 @@ class SwarmState1D:
     """Sorted agent positions plus tick counter and a seeded RNG stream.
 
     Mutable; confined to one execution context at a time.  All stepping
-    draws come from a `DrawPool` on the PCG64 stream, so every way of
-    advancing the state consumes the identical sequence of uniforms.
+    draws come from a `DrawPool` on the PCG64 stream, so any split of the
+    ticks into `advance` calls consumes the identical sequence of uniforms.
     """
 
     __slots__ = (
@@ -178,10 +176,6 @@ class SwarmState1D:
 
     # -- stepping ----------------------------------------------------------
 
-    def tick(self) -> tuple[int, int]:
-        """Advance one tick; returns ``(d_left, d_right)``, 0 for a side that did not move."""
-        return self.advance(1)
-
     def advance(self, ticks: int, until_gathered: bool = False) -> tuple[int, int]:
         """Run ``ticks`` ticks, stopping early once gathered if ``until_gathered``.
 
@@ -190,6 +184,8 @@ class SwarmState1D:
         raise, the state and the pool are left as the failing tick left
         them, with ``t`` counting that tick.
         """
+        if ticks < 0:
+            raise ValidationError(f"ticks must be >= 0, got {ticks}")
         pos = self._pos
         n = len(pos)
         if n == 1:  # nothing moves, and one agent is always gathered
@@ -255,14 +251,6 @@ class SwarmState1D:
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    """Who moved in one tick (pre-sort index, +1/-1) and the state after."""
-
-    moved: tuple[tuple[int, int], ...]
-    state_after: SwarmState1D
-
-
-@dataclass(frozen=True)
 class GatheringResult:
     """First tick with core span <= 1, or ``reached=False`` on timeout."""
 
@@ -292,15 +280,6 @@ def new_swarm(
     params = epsilon if isinstance(epsilon, WalkParams) else WalkParams(epsilon)
     rng = np.random.Generator(np.random.PCG64(seed))
     return SwarmState1D(positions, params, rng, mode)
-
-
-def step(state: SwarmState1D) -> StepOutcome:
-    """Advance one tick and report the movers by their pre-tick indices."""
-    pos = state._pos
-    right = len(pos) - 1 if pos[0] == pos[-1] else bisect_left(pos, pos[-1])
-    d_left, d_right = state.tick()
-    moved = tuple((i, d) for i, d in ((0, d_left), (right, d_right)) if d)
-    return StepOutcome(moved, state)
 
 
 def metrics(state: SwarmState1D, reference: float | None = None) -> Metrics:
@@ -372,6 +351,8 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
     beacon never does; the number of leftward beacon crossings is
     counted and verified against that.
     """
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if state.mode != UNILATERAL_RIGHT:
         raise ValidationError("sweep requires unilateral-right mode")
     if state.n_agents < 2:
@@ -380,12 +361,12 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
     beacon = pos[0]
     above = sum(x > beacon for x in pos)
     crossings = 0
-    tick = state.tick
+    advance = state.advance
     for _ in range(max_steps):
         if pos[-1] <= beacon:
             break
         hi = pos[-1]
-        _, d = tick()
+        _, d = advance(1)
         if d == -1 and hi - 1.0 <= beacon:
             crossings += 1
     finished = pos[-1] <= beacon

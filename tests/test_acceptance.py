@@ -40,7 +40,6 @@ from lineswarm.sim1d import (
     simulate_reflected_chain,
     simulate_two_barrier_hits,
     simulate_walk_first_passage,
-    step,
 )
 from lineswarm.sim2d import convex_hull, hull_diameter, new_swarm2d, run2d
 
@@ -206,7 +205,7 @@ def test_c08_gathered_stays_gathered(gathering_sweep):
         assert res.reached
         checks_at_gathering = state.invariant_checks
         for _ in range(200_000):
-            step(state)
+            state.advance(1)
             assert state.core_span <= 1.0
         assert state.invariant_checks == checks_at_gathering + 200_000
 
@@ -260,13 +259,13 @@ def test_c11_deterministic_dynamics_exact():
             while state.total_span > 1.0:
                 var_before = metrics(state, reference=c0).variance
                 span_before = state.total_span
-                step(state)
+                state.advance(1)
                 assert state.centroid() == c0  # bit-identical
                 var_after = metrics(state, reference=c0).variance
                 expected = var_before - (2.0 / n) * (span_before - 1.0)
                 assert abs(var_after - expected) <= 1e-12
             for _ in range(16):  # past gathering the centroid still holds
-                step(state)
+                state.advance(1)
                 assert state.centroid() == c0
 
 

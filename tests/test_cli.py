@@ -249,6 +249,23 @@ def test_malformed_input_is_user_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sim1d", "--positions", "0.25,0.5,2.75,4.9", "--stride", "0"], "trajectory.csv"),
+        (["sim1d", "--positions", "0.25,0.5,2.75,4.9", "--max-steps", "-1"], "trajectory.csv"),
+        (["sim2d", "--n", "5", "--steps", "0"], "trajectory2d.csv"),
+        (["sim2d", "--n", "5", "--steps", "3", "--stride", "0"], "trajectory2d.csv"),
+    ],
+)
+def test_rejected_run_keeps_existing_trajectory(argv, name, tmp_path, capsys):
+    kept = tmp_path / name
+    kept.write_bytes(b"t,centroid\n0,1.5\n3,1.5\n")
+    assert run_cli(*argv, "--epsilon", "0.1", "--seed", "1", "--out", str(tmp_path)) == EXIT_USER
+    assert "internal error" not in capsys.readouterr().err
+    assert kept.read_bytes() == b"t,centroid\n0,1.5\n3,1.5\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["catalan", "--k", "2.5"],

@@ -28,7 +28,6 @@ from lineswarm.sim1d import (
     simulate_reflected_chain,
     simulate_two_barrier_hits,
     simulate_walk_first_passage,
-    step,
 )
 
 # positions on the 2**-20 lattice below 2**20 keep every +-1 jump exactly
@@ -67,22 +66,20 @@ class TestConstruction:
 class TestStepSemantics:
     def test_two_agents_deterministic_inward(self):
         s = new_swarm([0.3, 5.7], 0.0, 1)
-        step(s)
+        s.advance(1)
         assert s.positions == (1.3, 4.7)
 
     def test_hand_executed_four_agents(self):
         s = new_swarm([0.25, 0.5, 2.75, 4.9], 0.0, 1)
-        out = step(s)
+        assert s.advance(1) == (1, -1)
         assert s.positions == pytest.approx((0.5, 1.25, 2.75, 3.9))
-        assert out.moved == ((0, 1), (3, -1))
 
     def test_single_agent_stays_put(self):
         for eps in [0.0, 0.3]:
             s = new_swarm([0.5], eps, 9)
-            out = step(s)
+            assert s.advance(1) == (0, 0)
             assert s.positions == (0.5,)
             assert s.t == 1
-            assert out.moved == ()
 
     def test_interior_agents_never_move(self):
         s = new_swarm(np.linspace(0.05, 9.31, 9), 0.3, 77)
@@ -90,7 +87,7 @@ class TestStepSemantics:
             before = s.positions
             lo, hi = before[0], before[-1]
             interior_before = sorted(x for x in before if lo < x < hi)
-            out = step(s)
+            s.advance(1)
             after = list(s.positions)
             # every interior position reappears bit-identically
             for x in interior_before:
@@ -100,44 +97,47 @@ class TestStepSemantics:
     def test_positions_stay_sorted(self):
         s = new_swarm(np.random.default_rng(0).uniform(0, 30, 12), 0.4, 5)
         for _ in range(500):
-            step(s)
+            s.advance(1)
             pos = s.positions
             assert all(a <= b for a, b in zip(pos, pos[1:]))
 
     def test_coincident_extremes_single_mover(self):
         # three agents share the minimum; exactly one of them moves
         s = new_swarm([0.5, 0.5, 0.5, 2.75], 0.0, 3)
-        step(s)
+        s.advance(1)
         assert s.positions == (0.5, 0.5, 1.5, 1.75)
 
     def test_all_coincident_two_movers(self):
         s = new_swarm([0.5, 0.5, 0.5], 0.0, 3)
-        step(s)
+        s.advance(1)
         assert sorted(s.positions) == [-0.5, 0.5, 1.5]
 
-    @pytest.mark.parametrize("mode,moved", [(BILATERAL, ((0, 1), (2, -1))),
-                                            (UNILATERAL_RIGHT, ((2, -1),)),
-                                            (UNILATERAL_LEFT, ((0, 1),))])
-    def test_all_coincident_highest_index_is_right(self, mode, moved):
+    @pytest.mark.parametrize("mode,after", [(BILATERAL, (-0.5, 0.5, 1.5)),
+                                            (UNILATERAL_RIGHT, (-0.5, 0.5, 0.5)),
+                                            (UNILATERAL_LEFT, (0.5, 0.5, 1.5))],
+                             ids=[BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+    def test_all_coincident_one_mover_per_side(self, mode, after):
+        # one agent of the cluster acts as each moving extremist
         s = new_swarm([0.5, 0.5, 0.5], 0.0, 1, mode=mode)
-        assert step(s).moved == moved
+        s.advance(1)
+        assert s.positions == after
 
     @pytest.mark.parametrize("mode,directions", [(BILATERAL, (1, -1)),
                                                  (UNILATERAL_RIGHT, (0, -1)),
                                                  (UNILATERAL_LEFT, (1, 0))])
     def test_tick_returns_jump_directions(self, mode, directions):
         s = new_swarm([0.2, 1.4, 6.7], 0.0, 3, mode=mode)
-        assert s.tick() == directions
+        assert s.advance(1) == directions
         assert s.t == 1
 
     def test_unilateral_right_only_rightmost(self):
         s = new_swarm([0.2, 1.4, 6.7], 0.0, 3, mode=UNILATERAL_RIGHT)
-        step(s)
+        s.advance(1)
         assert s.positions == (0.2, 1.4, 5.7)
 
     def test_unilateral_left_only_leftmost(self):
         s = new_swarm([0.2, 1.4, 6.7], 0.0, 3, mode=UNILATERAL_LEFT)
-        step(s)
+        s.advance(1)
         assert s.positions == (1.2, 1.4, 6.7)
 
     @given(lattice_positions, epsilons_st, st.integers(0, 2**32), modes_st)
@@ -146,7 +146,7 @@ class TestStepSemantics:
         s = new_swarm(positions, eps, seed, mode=mode)
         fracs0 = s.fractional_parts()
         for _ in range(50):
-            step(s)
+            s.advance(1)
             assert s.fractional_parts() == fracs0
 
     @given(lattice_positions, epsilons_st, st.integers(0, 2**32))
@@ -158,9 +158,7 @@ class TestStepSemantics:
             positions = positions + [positions[0] + 0.5]
         s_bi = new_swarm(positions, eps, seed, mode=BILATERAL)
         s_ul = new_swarm(positions, eps, seed, mode=UNILATERAL_LEFT)
-        out_bi = step(s_bi)
-        out_ul = step(s_ul)
-        assert out_bi.moved[0] == out_ul.moved[0]
+        assert s_bi.advance(1)[0] == s_ul.advance(1)[0]
 
 
 class TestLemmaSeparation:
@@ -188,7 +186,7 @@ class TestLemmaSeparation:
                     gap = abs(pos[i] - pos[j])
                     if gap > 1.0:
                         assert gap >= 1.0 + d - 1e-12
-            step(s)
+            s.advance(1)
 
 
 class TestGathering:
@@ -234,7 +232,7 @@ class TestGathering:
         s = new_swarm(positions, eps, seed, mode)
         assert s.gathered == (s.core_span <= 1.0)
         for _ in range(30):
-            s.tick()
+            s.advance(1)
             assert s.gathered == (s.core_span <= 1.0)
         res = run_until_gathered(s, max_steps)
         assert res.reached == s.gathered == (s.core_span <= 1.0)
@@ -266,7 +264,7 @@ class TestGathering:
         res = run_until_gathered(s, 1_000_000)
         assert res.reached
         for _ in range(50_000):
-            step(s)
+            s.advance(1)
             assert s.core_span <= 1.0
 
     def test_pre_gathering_core_edges_monotone(self):
@@ -274,7 +272,7 @@ class TestGathering:
         s = new_swarm(rng.uniform(0, 60, 30), 0.2, 23)
         x2, xp = s.positions[1], s.positions[-2]
         while s.core_span > 1.0:
-            step(s)
+            s.advance(1)
             pos = s.positions
             assert pos[1] >= x2 and pos[-2] <= xp
             x2, xp = pos[1], pos[-2]
@@ -288,7 +286,7 @@ class TestGathering:
         assert res.reached
         assert res.final_state.core_span <= 1.0
         for _ in range(5_000):
-            step(s)
+            s.advance(1)
             assert s.core_span <= 1.0
 
     def test_invariant_violation_raises(self):
@@ -300,7 +298,7 @@ class TestGathering:
         s._pos.sort()
         with pytest.raises(InvariantViolationError):
             for _ in range(50):
-                step(s)
+                s.advance(1)
 
 
 class TestCentroidAndVariance:
@@ -329,7 +327,7 @@ class TestCentroidAndVariance:
         s = new_swarm(positions, 0.0, seed)
         c0 = s.centroid()
         for _ in range(64):
-            step(s)
+            s.advance(1)
             assert s.centroid() == c0
 
     def test_variance_recurrence_while_spread(self):
@@ -342,7 +340,7 @@ class TestCentroidAndVariance:
             while s.total_span > 1.0:
                 var_before = metrics(s, reference=c0).variance
                 span_before = s.total_span
-                step(s)
+                s.advance(1)
                 var_after = metrics(s, reference=c0).variance
                 expected = var_before - (2.0 / s.n_agents) * (span_before - 1.0)
                 assert var_after == pytest.approx(expected, abs=1e-12)
@@ -364,11 +362,11 @@ class TestDeterminism:
 
         s = new_swarm([0.2, 1.7, 5.1, 9.4], 0.1, 42)
         for _ in range(10):
-            step(s)
+            s.advance(1)
         clone = pickle.loads(pickle.dumps(s))
         for _ in range(50):
-            step(s)
-            step(clone)
+            s.advance(1)
+            clone.advance(1)
             assert clone.positions == s.positions
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10_000))
@@ -385,7 +383,7 @@ class TestDeterminism:
         res = run_until_gathered(s1, 100_000)
         s2 = new_swarm(pos, 0.15, 909)
         for _ in range(res.T):
-            step(s2)
+            s2.advance(1)
         assert s1.positions == s2.positions
 
 
@@ -495,7 +493,7 @@ class TestAdvance:
 
         by_tick, by_advance = forced(), forced()
         with pytest.raises(InvariantViolationError) as tick_error:
-            by_tick.tick()
+            by_tick.advance(1)
         with pytest.raises(InvariantViolationError) as advance_error:
             by_advance.advance(5)
         assert str(advance_error.value) == str(tick_error.value)
@@ -505,6 +503,13 @@ class TestAdvance:
         assert by_advance._pool.i == by_tick._pool.i
         assert by_advance._pool.block == by_tick._pool.block
         assert by_advance.invariant_checks == by_tick.invariant_checks
+
+    @pytest.mark.parametrize("positions", [[0.5], [0.5, 3.0], [0.0, 1.5, 4.0, 9.0]])
+    def test_negative_ticks_rejected(self, positions):
+        s = new_swarm(positions, 0.1, 1)
+        with pytest.raises(ValidationError):
+            s.advance(-5)
+        assert (s.t, s.positions, s._pool.i) == (0, tuple(positions), 0)
 
     @given(spread_positions, st.integers(0, 2**32), st.integers(0, 400),
            st.integers(1, 40))
@@ -519,7 +524,7 @@ class TestAdvance:
         for _ in range(max_steps):
             if s.gathered:
                 break
-            s.tick()
+            s.advance(1)
             if s.t % stride == 0:
                 want.append(metrics_row(s))
         if s.t and s.t % stride:
@@ -554,6 +559,12 @@ class TestUnilateralSweep:
             res = run_unilateral_sweep(s, 100_000)
             assert res.finished and res.crossings == 1
             assert all(-1.0 < x <= 0.0 for x in res.final_state.positions)
+
+    def test_negative_max_steps_rejected(self):
+        s = new_swarm([0.0, 0.5, 1.7], 0.1, 1, mode=UNILATERAL_RIGHT)
+        with pytest.raises(ValidationError):
+            run_unilateral_sweep(s, -1)
+        assert s.t == 0
 
     def test_requires_unilateral_mode(self):
         with pytest.raises(ValidationError):
@@ -673,8 +684,7 @@ class TestCentroidDriftLaw:
         counts = Counter()
         ticks = 100_000
         for _ in range(ticks):
-            out = step(s)
-            counts[sum(d for _, d in out.moved)] += 1
+            counts[sum(s.advance(1))] += 1
         p_move = eps * (1 - eps)
         for key, expect in [(2, p_move), (-2, p_move), (0, 1 - 2 * p_move)]:
             freq = counts[key] / ticks
