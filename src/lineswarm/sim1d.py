@@ -23,13 +23,22 @@ jump directions ``(d_left, d_right)``, 0 for a side that did not move.
 Each tick draws for the left end, then the right, skipping the end the
 mode keeps still.
 
-Positions are plain doubles validated to ``|x| < 2**52``.  Unit jumps
-are then exactly representable whenever the positions live on a dyadic
-lattice with headroom (multiples of ``2**-q`` staying below ``2**(52-q)``
-in magnitude), in which case the multiset of fractional parts is
-conserved bit for bit; fully continuous draws can pick up one-ulp
-rounding at binade crossings, which nothing below depends on.  Position
-comparisons are exact; no tolerances enter anywhere.
+Unit jumps keep every agent's fractional part, so the state holds one
+sorted list of integer keys, ``key = N*(cell - cell_0) + rank``.  Each
+input ``x`` splits exactly as ``x = cell + f`` with ``f`` in
+``(-1/2, 1/2]``; the fraction table holds the sorted ``f`` of all agents
+and ``rank`` is the first index of the agent's ``f`` in it, so equal
+keys mean equal positions.  A move is ``+-N`` on the key, gathered is
+``key[N-2] - key[1] <= N`` (``x_{N-1} - x_2 <= 1``), and every
+comparison is between ints: the dynamics are exact for any finite
+input.  Observers return the correctly rounded double of the exact
+position, ``table[rank] + cell``.  The centroid is the exact input sum,
+kept as a few non-overlapping doubles, plus the net unit moves, rounded
+once by `math.fsum`: O(1) per call.  Every tick moves each moving end
+one unit inward unless its draw turns it back, so the net moves follow
+from ``t`` and one int count of turn-backs.  Inputs are validated to
+``|x| < 2**52``, so that outputs stay doubles, and to
+``N*(span + 2) < 2**62``, so that the keys can be built in int64.
 
 Two theorem-backed invariants are checked on every tick and raise
 `InvariantViolationError` if ever violated:
@@ -48,8 +57,11 @@ unilateral modes it can fall back to False.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
+from operator import neg
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -106,7 +118,7 @@ class Metrics(NamedTuple):
 
 
 class SwarmState1D:
-    """Sorted agent positions plus tick counter and a seeded RNG stream.
+    """Sorted agent keys plus tick counter and a seeded RNG stream.
 
     Mutable; confined to one execution context at a time.  All stepping
     draws come from a `DrawPool` on the PCG64 stream, so any split of the
@@ -118,8 +130,12 @@ class SwarmState1D:
         "mode",
         "t",
         "gathered",
-        "invariant_checks",
-        "_pos",
+        "_keys",
+        "_table",
+        "_cell0",
+        "_sum",
+        "_turned",
+        "_failed",
         "_pool",
     )
 
@@ -130,49 +146,93 @@ class SwarmState1D:
         rng: np.random.Generator,
         mode: str,
     ) -> None:
-        pos = sorted(float(x) for x in positions)
-        if not pos:
+        x = np.array(positions, dtype=float)
+        x.sort()
+        n = x.size
+        if not n:
             raise ValidationError("need at least one agent")
-        if any(not (math.isfinite(x) and abs(x) < _MAX_MAGNITUDE) for x in pos):
-            raise ValidationError("positions must satisfy |x| < 2**52")
+        lo, hi = float(x[0]), float(x[-1])
+        # NaN sorts last, so the two ends show any non-finite input
+        if not (-_MAX_MAGNITUDE < lo and hi < _MAX_MAGNITUDE and (hi - lo + 2.0) * n < 2.0**62):
+            raise ValidationError("positions must satisfy |x| < 2**52 and N*(span+2) < 2**62")
         if mode not in MODES:
             raise ValidationError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
+        xs = x.tolist()
+        total = [math.fsum(xs)]  # the exact sum, as non-overlapping doubles
+        while rest := math.fsum(chain(xs, map(neg, total))):
+            total.append(rest)
+        del xs
+        # x = cell + f exactly, f in (-1/2, 1/2]; temporaries go as soon as
+        # they are used, since N can be 10^5
+        cells = np.rint(x)
+        f = x - cells
+        del x
+        table = np.sort(f)
+        if table[0] == -0.5:  # rint rounds half to even: move those halves a cell down
+            half = f == -0.5
+            cells -= half
+            f += half
+            table = np.sort(f)
+        self._table = array("d", table.tobytes())
+        keys = np.searchsorted(table, f)
+        del f, table
+        self._cell0 = int(cells[0])
+        cells -= cells[0]
+        keys += cells.astype(np.int64) * n
+        del cells
+        self._keys = keys.tolist()
         self.params = params
         self.mode = mode
         self.t = 0
-        self._pos = pos
+        self._sum = tuple(total)
+        self._turned = 0  # right-end minus left-end turn-backs
         self._pool = DrawPool(rng)
-        self.gathered = self.core_span <= 1.0
-        self.invariant_checks = 0
+        self.gathered = n < 4 or self._keys[-2] - self._keys[1] <= n
+        self._failed = 0  # ticks that raised
 
     # -- observers ---------------------------------------------------------
 
     @property
     def n_agents(self) -> int:
-        return len(self._pos)
+        return len(self._keys)
+
+    def _at(self, key: int) -> float:
+        """The correctly rounded position of ``key``: ``table[rank] + cell``."""
+        cell, rank = divmod(key, len(self._keys))
+        return self._table[rank] + (cell + self._cell0)
+
+    @property
+    def invariant_checks(self) -> int:
+        """Ticks that passed both invariant checks: every tick at N >= 4
+        runs them, and only a tick that raised did not pass."""
+        return self.t - self._failed if len(self._keys) >= 4 else 0
 
     @property
     def positions(self) -> tuple[float, ...]:
-        return tuple(self._pos)
+        return tuple(map(self._at, self._keys))
 
     @property
     def total_span(self) -> float:
-        return self._pos[-1] - self._pos[0]
+        return self._at(self._keys[-1]) - self._at(self._keys[0])
 
     @property
     def core_span(self) -> float:
         """``x_{N-1} - x_2`` (1-indexed); defined as 0 for N <= 3."""
-        if len(self._pos) < 4:
+        keys = self._keys
+        if len(keys) < 4:
             return 0.0
-        return self._pos[-2] - self._pos[1]
+        return self._at(keys[-2]) - self._at(keys[1])
 
     def centroid(self) -> float:
-        # fsum gives the correctly rounded sum, so the value is independent
-        # of storage order and bit-stable under the exact +1/-1 moves.
-        return math.fsum(self._pos) / len(self._pos)
+        # the exact sum rounded once, so the value depends on the multiset of
+        # positions only.  Each tick moves each moving end one unit inward,
+        # and each counted turn-back moves it two units back.
+        drift = (self.mode == UNILATERAL_LEFT) - (self.mode == UNILATERAL_RIGHT)
+        moves = drift * self.t + 2 * self._turned if len(self._keys) > 1 else 0
+        return math.fsum(self._sum + (moves,)) / len(self._keys)
 
     def fractional_parts(self) -> tuple[float, ...]:
-        return tuple(sorted(circular_fraction(x) for x in self._pos))
+        return tuple(sorted(circular_fraction(x) for x in self.positions))
 
     # -- stepping ----------------------------------------------------------
 
@@ -186,8 +246,8 @@ class SwarmState1D:
         """
         if ticks < 0:
             raise ValidationError(f"ticks must be >= 0, got {ticks}")
-        pos = self._pos
-        n = len(pos)
+        keys = self._keys
+        n = len(keys)  # one unit, in key steps
         if n == 1:  # nothing moves, and one agent is always gathered
             if not until_gathered:
                 self.t += ticks
@@ -201,53 +261,66 @@ class SwarmState1D:
         pool = self._pool
         draws, i = pool.block, pool.i
         end = len(draws)
-        t, gathered, checks = self.t, self.gathered, self.invariant_checks
-        d_left = d_right = 0
+        t, gathered = self.t, self.gathered
+        back = -n
+        d_left = d_right = turned = 0
         try:
             for _ in range(ticks):
                 if until_gathered and gathered:
                     break
                 if check_core:
-                    x2_before, xp_before = pos[1], pos[-2]
-                lo, hi = pos[0], pos[-1]
+                    x2_before, xp_before = keys[1], keys[-2]
+                lo, hi = keys[0], keys[-1]
                 if move_left:
                     if i == end:
                         draws, i = pool.refill(), 0
                         end = len(draws)
-                    d_left = 1 if draws[i] < keep else -1
+                    if draws[i] < keep:
+                        d_left = n
+                    else:
+                        d_left = back
+                        turned -= 1
                     i += 1
                 if move_right:
                     if i == end:
                         draws, i = pool.refill(), 0
                         end = len(draws)
-                    d_right = -1 if draws[i] < keep else 1
+                    if draws[i] < keep:
+                        d_right = back
+                    else:
+                        d_right = n
+                        turned += 1
                     i += 1
-                    del pos[-1]
+                    del keys[-1]
                 if d_left:
-                    del pos[0]
-                    insort(pos, lo + d_left)
+                    del keys[0]
+                    insort(keys, lo + d_left)
                 if d_right:
-                    insort(pos, hi + d_right)
+                    insort(keys, hi + d_right)
                 t += 1
 
                 if check_core:
-                    if not gathered and (pos[1] < x2_before or pos[-2] > xp_before):
+                    if not gathered and (keys[1] < x2_before or keys[-2] > xp_before):
+                        at = self._at
                         raise InvariantViolationError(
                             f"core edge moved outward at t={t}: "
-                            f"x2 {x2_before} -> {pos[1]}, "
-                            f"x_(N-1) {xp_before} -> {pos[-2]}"
+                            f"x2 {at(x2_before)} -> {at(keys[1])}, "
+                            f"x_(N-1) {at(xp_before)} -> {at(keys[-2])}"
                         )
-                    core_after = pos[-2] - pos[1]
-                    if core_after > 1.0 and gathered and mode == BILATERAL:
+                    core_after = keys[-2] - keys[1]
+                    if core_after > n and gathered and mode == BILATERAL:
                         raise InvariantViolationError(
-                            f"gathered core reopened at t={t}: core span {core_after}"
+                            f"gathered core reopened at t={t}: core span {self.core_span}"
                         )
-                    gathered = core_after <= 1.0
-                    checks += 1
+                    gathered = core_after <= n
+        except InvariantViolationError:
+            self._failed += 1
+            raise
         finally:
             pool.i = i
-            self.t, self.gathered, self.invariant_checks = t, gathered, checks
-        return d_left, d_right
+            self.t, self.gathered = t, gathered
+            self._turned += turned
+        return d_left // n, d_right // n
 
 
 @dataclass(frozen=True)
@@ -292,7 +365,7 @@ def metrics(state: SwarmState1D, reference: float | None = None) -> Metrics:
     """
     c = state.centroid()
     ref = c if reference is None else reference
-    var = math.fsum((x - ref) ** 2 for x in state._pos) / state.n_agents
+    var = math.fsum((x - ref) ** 2 for x in state.positions) / state.n_agents
     return Metrics(c, var, state.core_span, state.total_span)
 
 
@@ -303,8 +376,8 @@ def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:
             state.centroid(),
             state.core_span,
             state.total_span,
-            state._pos[0],
-            state._pos[-1],
+            state._at(state._keys[0]),
+            state._at(state._keys[-1]),
         )
     )
 
@@ -357,29 +430,30 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
         raise ValidationError("sweep requires unilateral-right mode")
     if state.n_agents < 2:
         raise ValidationError("need at least one agent besides the beacon")
-    pos = state._pos
-    beacon = pos[0]
-    above = sum(x > beacon for x in pos)
+    keys = state._keys
+    n = len(keys)
+    beacon = keys[0]
+    above = sum(k > beacon for k in keys)
     crossings = 0
     advance = state.advance
     for _ in range(max_steps):
-        if pos[-1] <= beacon:
+        if keys[-1] <= beacon:
             break
-        hi = pos[-1]
+        hi = keys[-1]
         _, d = advance(1)
-        if d == -1 and hi - 1.0 <= beacon:
+        if d == -1 and hi - n <= beacon:
             crossings += 1
-    finished = pos[-1] <= beacon
+    finished = keys[-1] <= beacon
     if finished:
         if crossings != above:
             raise InvariantViolationError(
                 f"expected {above} beacon crossings, counted {crossings}"
             )
-        if not all(beacon - 1.0 < x <= beacon for x in pos):
+        if not all(beacon - n < k <= beacon for k in keys):
             raise InvariantViolationError(
                 "sweep finished with agents outside (beacon-1, beacon]"
             )
-    return SweepResult(state.t, finished, beacon, state, crossings)
+    return SweepResult(state.t, finished, state._at(beacon), state, crossings)
 
 
 # -- single-walker simulators ----------------------------------------------

@@ -11,6 +11,7 @@ for the 1D tick.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from lineswarm.experiments import (
     ExperimentSpec,
     SpanTailRow,
     SummaryRow,
+    uniform_start,
     write_results,
 )
 from lineswarm.sim1d import UNILATERAL_RIGHT, new_swarm, run_unilateral_sweep
@@ -67,7 +69,7 @@ UNIFORM_TRAJECTORIES = {
         "12,14.647959254203675,16.568777404702889,17.770055357754696,"
         "5.2853342422188767,23.055389599973573\n"
         "24,15.397959254203675,13.183734630450882,15.155098132006703,"
-        "7.9002914679668699,23.055389599973573\n"
+        "7.9002914679668708,23.055389599973573\n"
         "36,16.397959254203677,10.183734630450882,11.155098132006703,"
         "11.90029146796687,23.055389599973573\n"
         "48,17.147959254203677,7.8972853437559909,9.7700553577546962,"
@@ -302,6 +304,15 @@ def test_seeded_uniform_trajectory(tmp_path, mode):
     assert code == EXIT_OK
     expected = UNIFORM_HEADER + UNIFORM_T0 + UNIFORM_TRAJECTORIES[mode]
     assert (tmp_path / "trajectory.csv").read_bytes() == expected.encode()
+
+
+def test_uniform_left_x_min_is_exact():
+    # x_min at t = 24 in the unilateral-left run is the input 0.9002914679668708
+    # seven units up, correctly rounded; a float engine that adds the unit
+    # jumps one at a time drifts one ulp below it, to 7.9002914679668699
+    assert uniform_start(3, "cli-sim1d-init", 0, 8, 30)[1] == 0.9002914679668708
+    assert float(Fraction(0.9002914679668708) + 7) == 7.9002914679668708
+    assert "7.9002914679668708," in UNIFORM_TRAJECTORIES["unilateral-left"]
 
 
 @pytest.mark.parametrize("kind,expected", [("span-distribution", SPAN_DISTRIBUTION_CSV),

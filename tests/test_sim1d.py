@@ -3,6 +3,7 @@
 import math
 from bisect import insort
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ class TestConstruction:
             new_swarm([0.5], 0.6, 1)
         with pytest.raises(ValidationError):
             new_swarm([2.0**53], 0.1, 1)
+        for bad in ([math.nan], [0.5, math.inf], [-math.inf, 0.5], [0.5, math.nan, 1.0]):
+            with pytest.raises(ValidationError):
+                new_swarm(bad, 0.1, 1)
+        with pytest.raises(ValidationError):  # the keys are built in int64
+            new_swarm([-(2.0**51), 2.0**51] * 600, 0.1, 1)
         with pytest.raises(ValidationError):
             new_swarm([0.5], 0.1, 1, mode="sideways")
 
@@ -293,9 +299,11 @@ class TestGathering:
         # force a corrupted state: widen the core behind the engine's back
         s = new_swarm([0.0, 0.1, 0.2, 0.9, 1.4], 0.1, 3)
         assert s.gathered
-        s._pos[1] = -5.0
-        s._pos[3] = 5.0
-        s._pos.sort()
+        keys, n = s._keys, s.n_agents  # one unit is n key steps
+        keys[1] -= 5 * n
+        keys[3] += 5 * n
+        keys.sort()
+        assert s.core_span > 1.0 and s.gathered
         with pytest.raises(InvariantViolationError):
             for _ in range(50):
                 s.advance(1)
@@ -329,6 +337,25 @@ class TestCentroidAndVariance:
         for _ in range(64):
             s.advance(1)
             assert s.centroid() == c0
+
+    @given(lattice_positions, epsilons_st, st.integers(0, 2**32), modes_st,
+           st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_centroid_is_fsum_of_positions(self, positions, eps, seed, mode, ticks):
+        # on the lattice every position is exact, so the O(1) centroid equals
+        # the correctly rounded sum of the positions, bit for bit
+        s = new_swarm(positions, eps, seed, mode)
+        assert s.centroid() == math.fsum(s.positions) / s.n_agents
+        s.advance(ticks)
+        assert s.centroid() == math.fsum(s.positions) / s.n_agents
+
+    @pytest.mark.parametrize("mode", [BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+    def test_centroid_after_many_ticks_at_ten_thousand(self, mode):
+        rng = np.random.default_rng(21)
+        s = new_swarm((rng.integers(0, 2**22, 10_000) * 2.0**-20).tolist(), 0.2, 5, mode)
+        for _ in range(4):
+            s.advance(5_000)
+            assert s.centroid() == math.fsum(s.positions) / s.n_agents
 
     def test_variance_recurrence_while_spread(self):
         rng = np.random.default_rng(12)
@@ -387,20 +414,22 @@ class TestDeterminism:
         assert s1.positions == s2.positions
 
 
-class ReferenceSwarm:
-    """Per-tick reference for `SwarmState1D.advance`, which must match it bit for bit.
+class ExactSwarm:
+    """The list engine's tick on exact `Fraction` positions: the reference.
 
-    The same tick body with one `DrawPool.draw` call per draw and one
-    method call per tick.
+    `SwarmState1D` must match it bit for bit: its positions and spans are
+    the correctly rounded doubles of these, and its centroid is the exact
+    sum rounded once, over N.  One `DrawPool.draw` call per draw and one
+    method call per tick, so the draws of `advance` are checked too.
     """
 
     def __init__(self, positions, eps, seed, mode):
-        self.pos = sorted(float(x) for x in positions)
+        self.pos = sorted(Fraction(x) for x in positions)
         self.keep = 1.0 - eps
         self.mode = mode
         self.draw = DrawPool(np.random.Generator(np.random.PCG64(seed))).draw
         self.t = 0
-        self.gathered = len(self.pos) < 4 or self.pos[-2] - self.pos[1] <= 1.0
+        self.gathered = len(self.pos) < 4 or self.pos[-2] - self.pos[1] <= 1
         self.checks = 0
 
     def tick(self):
@@ -428,14 +457,15 @@ class ReferenceSwarm:
             if not self.gathered and (pos[1] < x2_before or pos[-2] > xp_before):
                 raise InvariantViolationError(
                     f"core edge moved outward at t={self.t}: "
-                    f"x2 {x2_before} -> {pos[1]}, x_(N-1) {xp_before} -> {pos[-2]}"
+                    f"x2 {float(x2_before)} -> {float(pos[1])}, "
+                    f"x_(N-1) {float(xp_before)} -> {float(pos[-2])}"
                 )
-            core_after = pos[-2] - pos[1]
-            if core_after > 1.0 and self.gathered and self.mode == BILATERAL:
+            if pos[-2] - pos[1] > 1 and self.gathered and self.mode == BILATERAL:
                 raise InvariantViolationError(
-                    f"gathered core reopened at t={self.t}: core span {core_after}"
+                    f"gathered core reopened at t={self.t}: "
+                    f"core span {float(pos[-2]) - float(pos[1])}"
                 )
-            self.gathered = core_after <= 1.0
+            self.gathered = pos[-2] - pos[1] <= 1
             self.checks += 1
         return d_left, d_right
 
@@ -446,6 +476,17 @@ class ReferenceSwarm:
                 break
             last = self.tick()
         return last
+
+    def observed(self):
+        xs = [float(q) for q in self.pos]
+        core = xs[-2] - xs[1] if len(xs) >= 4 else 0.0
+        return (tuple(xs), float(sum(self.pos)) / len(xs), core, xs[-1] - xs[0],
+                self.gathered, self.t, self.checks)
+
+
+def observed(s):
+    return (s.positions, s.centroid(), s.core_span, s.total_span,
+            s.gathered, s.t, s.invariant_checks)
 
 
 def outcome(run):
@@ -477,11 +518,10 @@ class TestAdvance:
                                              until_gathered):
         # the pool refills after 16, 48, 112, 240, 496 and 1008 draws
         s = new_swarm(positions, eps, seed, mode)
-        ref = ReferenceSwarm(positions, eps, seed, mode)
+        ref = ExactSwarm(positions, eps, seed, mode)
         assert outcome(lambda: s.advance(ticks, until_gathered)) == outcome(
             lambda: ref.run(ticks, until_gathered))
-        assert s.positions == tuple(ref.pos)
-        assert (s.t, s.gathered, s.invariant_checks) == (ref.t, ref.gathered, ref.checks)
+        assert observed(s) == ref.observed()
         assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
 
     def test_raise_leaves_state_as_tick_does(self):
@@ -502,7 +542,7 @@ class TestAdvance:
         assert by_advance.positions == by_tick.positions
         assert by_advance._pool.i == by_tick._pool.i
         assert by_advance._pool.block == by_tick._pool.block
-        assert by_advance.invariant_checks == by_tick.invariant_checks
+        assert by_advance.invariant_checks == by_tick.invariant_checks == 20
 
     @pytest.mark.parametrize("positions", [[0.5], [0.5, 3.0], [0.0, 1.5, 4.0, 9.0]])
     def test_negative_ticks_rejected(self, positions):
@@ -531,6 +571,54 @@ class TestAdvance:
             want.append(metrics_row(s))
         assert rows == want
         assert (res.T, res.reached) == (s.t, s.gathered)
+
+
+# arbitrary finite doubles, with extra weight on (-1/2, 0), where x - floor(x)
+# rounds, and on small magnitudes, where ticks can gather the swarm
+any_double = st.one_of(
+    st.floats(min_value=-(2.0**51), max_value=2.0**51),
+    st.floats(min_value=-0.5, max_value=0.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+exact_starts = st.one_of(
+    st.lists(any_double, min_size=1, max_size=12),
+    # coincident starts: every agent sits on one of a few doubles
+    st.lists(any_double, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)),
+)
+
+
+class TestExactReference:
+    @given(exact_starts, epsilons_st, st.integers(0, 2**32), modes_st,
+           st.lists(st.integers(0, 40), min_size=1, max_size=5), st.booleans())
+    @example([-0.1, 0.3, 0.9002914679668708, 2.7, 3.3, -0.4999999999], 0.3, 0, BILATERAL,
+             [40, 40, 40], False)
+    @example([-0.49999999999999994, 0.5, 1.5, -2.5, 2.5], 0.2, 1, UNILATERAL_LEFT, [30], False)
+    # halves that round to even cells both ways: core span exactly 1 at t = 0
+    @example([0.0, 0.5, 1.5, 3.0], 0.1, 3, BILATERAL, [10], False)
+    @example([-0.0, 0.0, 5e-324, -5e-324, 1.0], 0.1, 2, BILATERAL, [20], False)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_engine(self, positions, eps, seed, mode, blocks, until_gathered):
+        s = new_swarm(positions, eps, seed, mode)
+        ref = ExactSwarm(positions, eps, seed, mode)
+        assert observed(s) == ref.observed()
+        for ticks in blocks:
+            assert s.advance(ticks, until_gathered) == ref.run(ticks, until_gathered)
+            assert observed(s) == ref.observed()
+        assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
+
+    @pytest.mark.parametrize("mode", [BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+    def test_non_dyadic_start_matches_exact(self, mode):
+        # a unit jump on these doubles rounds, so a float engine that adds
+        # the jumps one by one drifts from the exact positions within 150 ticks
+        # on most seeds
+        start = [-0.1, 0.3, 0.9002914679668708, 2.7, 3.3, -0.4999999999]
+        for seed in range(50):
+            s = new_swarm(start, 0.3, seed, mode)
+            ref = ExactSwarm(start, 0.3, seed, mode)
+            for _ in range(10):
+                assert s.advance(15) == ref.run(15, False)
+                assert observed(s) == ref.observed()
 
 
 def metrics_row(s):
