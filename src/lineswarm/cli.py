@@ -122,11 +122,24 @@ def _cmd_analytic(args) -> int:
 # -- sim1d ------------------------------------------------------------------
 
 
+_PARSE_CHUNK = 1 << 16  # characters of --positions split at a time
+
+
 def _parse_positions(raw: str) -> list[float]:
+    # split in chunks cut at commas, so that at N = 10^5 the parse holds a
+    # few thousand token strings at a time rather than one per agent
+    positions: list[float] = []
+    start = 0
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        while start < len(raw):
+            stop = raw.find(",", start + _PARSE_CHUNK)
+            if stop < 0:
+                stop = len(raw)
+            positions += map(float, filter(str.strip, raw[start:stop].split(",")))
+            start = stop + 1
     except ValueError as exc:
         raise ValidationError(f"cannot parse positions {raw!r}: {exc}") from exc
+    return positions
 
 
 def _check_extent(flag: str, value: float) -> None:

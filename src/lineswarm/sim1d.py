@@ -23,12 +23,12 @@ jump directions ``(d_left, d_right)``, 0 for a side that did not move.
 Each tick draws for the left end, then the right, skipping the end the
 mode keeps still.
 
-Unit jumps keep every agent's fractional part, so the state holds one
-sorted list of integer keys, ``key = N*(cell - cell_0) + rank``.  Each
-input ``x`` splits exactly as ``x = cell + f`` with ``f`` in
-``(-1/2, 1/2]``; the fraction table holds the sorted ``f`` of all agents
-and ``rank`` is the first index of the agent's ``f`` in it, so equal
-keys mean equal positions.  A move is ``+-N`` on the key, gathered is
+Unit jumps keep every agent's fractional part, so the state holds sorted
+integer keys, ``key = N*(cell - cell_0) + rank``.  Each input ``x``
+splits exactly as ``x = cell + f`` with ``f`` in ``(-1/2, 1/2]``; the
+fraction table holds the sorted ``f`` of all agents and ``rank`` is the
+first index of the agent's ``f`` in it, so equal keys mean equal
+positions.  A move is ``+-N`` on the key, gathered is
 ``key[N-2] - key[1] <= N`` (``x_{N-1} - x_2 <= 1``), and every
 comparison is between ints: the dynamics are exact for any finite
 input.  Observers return the correctly rounded double of the exact
@@ -39,6 +39,19 @@ one unit inward unless its draw turns it back, so the net moves follow
 from ``t`` and one int count of turn-backs.  Inputs are validated to
 ``|x| < 2**52``, so that outputs stay doubles, and to
 ``N*(span + 2) < 2**62``, so that the keys can be built in int64.
+
+The keys live in a list of sorted blocks whose concatenation is sorted,
+so a move shifts one block of at most ``2*_BLOCK`` keys, not all N:
+
+* ``N <= 2*_BLOCK``: one block for the swarm's whole life;
+* otherwise each middle block holds ``_BLOCK`` to ``2*_BLOCK`` keys and
+  each end block 3 to ``2*_BLOCK``, so ``x_2`` is ``first[1]`` and
+  ``x_{N-1}`` is ``last[-2]`` even after a tick deletes an end key;
+* a moved key goes to an end block when it fits there, else to the
+  middle block found by bisecting the middle blocks' last keys; keys
+  leave only the end blocks, so a middle block never shrinks;
+* an end block that drops below 3 keys is merged inward and a block
+  that grows past ``2*_BLOCK`` keys is split, each in O(N/_BLOCK) steps.
 
 Two theorem-backed invariants are checked on every tick and raise
 `InvariantViolationError` if ever violated:
@@ -58,7 +71,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
 from operator import neg
@@ -99,6 +112,17 @@ MODES = frozenset({BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT})
 
 _MAX_MAGNITUDE = 2.0**52
 _WALK_STEP_CAP = 1_000_000_000
+# keys per block of the 1D state: a block holds at most 2*_BLOCK keys, and
+# cutting keeps end blocks at >= 3 keys only while _BLOCK >= 3
+_BLOCK = 512
+
+
+def _cut(keys):
+    """Sorted ``keys`` cut into blocks: one if at most ``2*_BLOCK``, else
+    ``N // _BLOCK`` near-equal blocks of ``_BLOCK`` to ``2*_BLOCK - 1``."""
+    n = len(keys)
+    k = n // _BLOCK if n > 2 * _BLOCK else 1
+    return [keys[i * n // k : (i + 1) * n // k] for i in range(k)]
 
 
 class TrajectoryRow(NamedTuple):
@@ -118,7 +142,12 @@ class Metrics(NamedTuple):
 
 
 class SwarmState1D:
-    """Sorted agent keys plus tick counter and a seeded RNG stream.
+    """Sorted agent keys in blocks, plus tick counter and a seeded RNG stream.
+
+    ``_blocks`` is the block list of the module docstring: one block while
+    ``N <= 2*_BLOCK``, else middle blocks of ``_BLOCK`` to ``2*_BLOCK``
+    keys and end blocks of 3 to ``2*_BLOCK``.  ``_tops`` holds the last key
+    of each middle block, for routing a moved key.
 
     Mutable; confined to one execution context at a time.  All stepping
     draws come from a `DrawPool` on the PCG64 stream, so any split of the
@@ -130,7 +159,9 @@ class SwarmState1D:
         "mode",
         "t",
         "gathered",
-        "_keys",
+        "_n",
+        "_blocks",
+        "_tops",
         "_table",
         "_cell0",
         "_sum",
@@ -180,56 +211,57 @@ class SwarmState1D:
         cells -= cells[0]
         keys += cells.astype(np.int64) * n
         del cells
-        self._keys = keys.tolist()
+        self._n = n
+        self._blocks = blocks = [block.tolist() for block in _cut(keys)]
+        self._tops = [block[-1] for block in blocks[1:-1]]
         self.params = params
         self.mode = mode
         self.t = 0
         self._sum = tuple(total)
         self._turned = 0  # right-end minus left-end turn-backs
         self._pool = DrawPool(rng)
-        self.gathered = n < 4 or self._keys[-2] - self._keys[1] <= n
+        self.gathered = n < 4 or blocks[-1][-2] - blocks[0][1] <= n
         self._failed = 0  # ticks that raised
 
     # -- observers ---------------------------------------------------------
 
     @property
     def n_agents(self) -> int:
-        return len(self._keys)
+        return self._n
 
     def _at(self, key: int) -> float:
         """The correctly rounded position of ``key``: ``table[rank] + cell``."""
-        cell, rank = divmod(key, len(self._keys))
+        cell, rank = divmod(key, self._n)
         return self._table[rank] + (cell + self._cell0)
 
     @property
     def invariant_checks(self) -> int:
         """Ticks that passed both invariant checks: every tick at N >= 4
         runs them, and only a tick that raised did not pass."""
-        return self.t - self._failed if len(self._keys) >= 4 else 0
+        return self.t - self._failed if self._n >= 4 else 0
 
     @property
     def positions(self) -> tuple[float, ...]:
-        return tuple(map(self._at, self._keys))
+        return tuple(map(self._at, chain.from_iterable(self._blocks)))
 
     @property
     def total_span(self) -> float:
-        return self._at(self._keys[-1]) - self._at(self._keys[0])
+        return self._at(self._blocks[-1][-1]) - self._at(self._blocks[0][0])
 
     @property
     def core_span(self) -> float:
         """``x_{N-1} - x_2`` (1-indexed); defined as 0 for N <= 3."""
-        keys = self._keys
-        if len(keys) < 4:
+        if self._n < 4:
             return 0.0
-        return self._at(keys[-2]) - self._at(keys[1])
+        return self._at(self._blocks[-1][-2]) - self._at(self._blocks[0][1])
 
     def centroid(self) -> float:
         # the exact sum rounded once, so the value depends on the multiset of
         # positions only.  Each tick moves each moving end one unit inward,
         # and each counted turn-back moves it two units back.
         drift = (self.mode == UNILATERAL_LEFT) - (self.mode == UNILATERAL_RIGHT)
-        moves = drift * self.t + 2 * self._turned if len(self._keys) > 1 else 0
-        return math.fsum(self._sum + (moves,)) / len(self._keys)
+        moves = drift * self.t + 2 * self._turned if self._n > 1 else 0
+        return math.fsum(self._sum + (moves,)) / self._n
 
     def fractional_parts(self) -> tuple[float, ...]:
         return tuple(sorted(circular_fraction(x) for x in self.positions))
@@ -246,13 +278,14 @@ class SwarmState1D:
         """
         if ticks < 0:
             raise ValidationError(f"ticks must be >= 0, got {ticks}")
-        keys = self._keys
-        n = len(keys)  # one unit, in key steps
+        n = self._n  # one unit, in key steps
         if n == 1:  # nothing moves, and one agent is always gathered
             if not until_gathered:
                 self.t += ticks
             return 0, 0
 
+        first, last = self._blocks[0], self._blocks[-1]
+        multi = first is not last  # else the block bookkeeping is skipped
         mode = self.mode
         move_left = mode != UNILATERAL_RIGHT
         move_right = mode != UNILATERAL_LEFT
@@ -262,15 +295,15 @@ class SwarmState1D:
         draws, i = pool.block, pool.i
         end = len(draws)
         t, gathered = self.t, self.gathered
+        # x_2 and x_{N-1} before a tick matter only while not gathered
+        x2, xp = (None, None) if gathered else (first[1], last[-2])
         back = -n
         d_left = d_right = turned = 0
         try:
             for _ in range(ticks):
                 if until_gathered and gathered:
                     break
-                if check_core:
-                    x2_before, xp_before = keys[1], keys[-2]
-                lo, hi = keys[0], keys[-1]
+                lo, hi = first[0], last[-1]
                 if move_left:
                     if i == end:
                         draws, i = pool.refill(), 0
@@ -291,36 +324,91 @@ class SwarmState1D:
                         d_right = n
                         turned += 1
                     i += 1
-                    del keys[-1]
+                    del last[-1]
                 if d_left:
-                    del keys[0]
-                    insort(keys, lo + d_left)
+                    del first[0]
+                    if multi:
+                        self._put(lo + d_left)
+                    else:
+                        insort(first, lo + d_left)
                 if d_right:
-                    insort(keys, hi + d_right)
+                    if multi:
+                        self._put(hi + d_right)
+                    else:
+                        insort(last, hi + d_right)
                 t += 1
+                if multi and not (2 < len(first) <= 2 * _BLOCK and 2 < len(last) <= 2 * _BLOCK):
+                    first, last = self._relayout()
 
                 if check_core:
-                    if not gathered and (keys[1] < x2_before or keys[-2] > xp_before):
+                    x2_after, xp_after = first[1], last[-2]
+                    if not gathered and (x2_after < x2 or xp_after > xp):
                         at = self._at
                         raise InvariantViolationError(
                             f"core edge moved outward at t={t}: "
-                            f"x2 {at(x2_before)} -> {at(keys[1])}, "
-                            f"x_(N-1) {at(xp_before)} -> {at(keys[-2])}"
+                            f"x2 {at(x2)} -> {at(x2_after)}, "
+                            f"x_(N-1) {at(xp)} -> {at(xp_after)}"
                         )
-                    core_after = keys[-2] - keys[1]
+                    core_after = xp_after - x2_after
                     if core_after > n and gathered and mode == BILATERAL:
                         raise InvariantViolationError(
                             f"gathered core reopened at t={t}: core span {self.core_span}"
                         )
                     gathered = core_after <= n
+                    x2, xp = x2_after, xp_after
         except InvariantViolationError:
             self._failed += 1
             raise
         finally:
             pool.i = i
             self.t, self.gathered = t, gathered
-            self._turned += turned
+            if turned:  # most one-tick calls turn back no end
+                self._turned += turned
         return d_left // n, d_right // n
+
+    def _put(self, key: int) -> None:
+        """Insert a moved key into a layout of several blocks.
+
+        The key goes to an end block when it lies within that block's
+        range, else to the first middle block whose last key is >= it, or
+        to the front of the last block.  A block that this bisection fills
+        past ``2*_BLOCK`` keys gives its lower ``_BLOCK`` keys to a new
+        middle block before it, so the end blocks stay the same lists; the
+        caller has `_relayout` re-cut an overfull end block.
+        """
+        blocks = self._blocks
+        first, last = blocks[0], blocks[-1]
+        if key <= first[-1]:
+            insort(first, key)
+        elif key >= last[0]:
+            insort(last, key)
+        else:
+            tops = self._tops
+            j = bisect_left(tops, key) + 1
+            block = blocks[j]
+            insort(block, key)
+            if len(block) > 2 * _BLOCK:
+                lower = block[:_BLOCK]
+                del block[:_BLOCK]
+                blocks.insert(j, lower)
+                tops.insert(j - 1, lower[-1])
+
+    def _relayout(self) -> tuple[list[int], list[int]]:
+        """Merge an end block below 3 keys inward, re-cut an end block above
+        ``2*_BLOCK`` keys, and return the new end blocks."""
+        blocks = self._blocks
+        if len(blocks[0]) < 3:
+            keys = blocks.pop(0)
+            blocks[0][:0] = keys
+        if len(blocks[-1]) < 3:
+            keys = blocks.pop()
+            blocks[-1] += keys
+        if len(blocks[-1]) > 2 * _BLOCK:
+            blocks[-1:] = _cut(blocks[-1])
+        if len(blocks[0]) > 2 * _BLOCK:
+            blocks[:1] = _cut(blocks[0])
+        self._tops[:] = [block[-1] for block in blocks[1:-1]]
+        return blocks[0], blocks[-1]
 
 
 @dataclass(frozen=True)
@@ -376,8 +464,8 @@ def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:
             state.centroid(),
             state.core_span,
             state.total_span,
-            state._at(state._keys[0]),
-            state._at(state._keys[-1]),
+            state._at(state._blocks[0][0]),
+            state._at(state._blocks[-1][-1]),
         )
     )
 
@@ -430,26 +518,26 @@ def run_unilateral_sweep(state: SwarmState1D, max_steps: int) -> SweepResult:
         raise ValidationError("sweep requires unilateral-right mode")
     if state.n_agents < 2:
         raise ValidationError("need at least one agent besides the beacon")
-    keys = state._keys
-    n = len(keys)
-    beacon = keys[0]
-    above = sum(k > beacon for k in keys)
+    blocks = state._blocks  # the end blocks can change between ticks
+    n = state.n_agents
+    beacon = blocks[0][0]
+    above = sum(k > beacon for k in chain.from_iterable(blocks))
     crossings = 0
     advance = state.advance
     for _ in range(max_steps):
-        if keys[-1] <= beacon:
+        hi = blocks[-1][-1]
+        if hi <= beacon:
             break
-        hi = keys[-1]
         _, d = advance(1)
         if d == -1 and hi - n <= beacon:
             crossings += 1
-    finished = keys[-1] <= beacon
+    finished = blocks[-1][-1] <= beacon
     if finished:
         if crossings != above:
             raise InvariantViolationError(
                 f"expected {above} beacon crossings, counted {crossings}"
             )
-        if not all(beacon - n < k <= beacon for k in keys):
+        if not all(beacon - n < k <= beacon for k in chain.from_iterable(blocks)):
             raise InvariantViolationError(
                 "sweep finished with agents outside (beacon-1, beacon]"
             )

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from lineswarm import cli
 from lineswarm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
+from lineswarm.errors import ValidationError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -128,6 +130,17 @@ class TestSim1d:
         )
         assert code == EXIT_OK
         assert "exhausted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
+    def test_positions_parse_in_chunks(self, chunk, monkeypatch):
+        # chunks cut at commas: the same floats, empty tokens skipped
+        monkeypatch.setattr(cli, "_PARSE_CHUNK", chunk)
+        raw = " 0.25,,-1e3, 4 ,\t,2.5e-1,"
+        assert cli._parse_positions(raw) == [0.25, -1000.0, 4.0, 0.25]
+        with pytest.raises(ValidationError) as err:
+            cli._parse_positions("0.5,,abc,1")
+        assert str(err.value) == (
+            "cannot parse positions '0.5,,abc,1': could not convert string to float: 'abc'")
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert (

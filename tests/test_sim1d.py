@@ -3,13 +3,16 @@
 import math
 from bisect import insort
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lineswarm import sim1d
 from lineswarm.errors import InvariantViolationError, ValidationError
 from lineswarm.seeding import DrawPool
 from lineswarm.rw_analytics import (
@@ -41,6 +44,36 @@ lattice_positions = st.lists(
 
 epsilons_st = st.floats(min_value=0.0, max_value=0.45)
 modes_st = st.sampled_from([BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+
+
+@contextmanager
+def block_size(size):
+    """Build and step swarms with ``sim1d._BLOCK = size`` inside the block."""
+    saved = sim1d._BLOCK
+    sim1d._BLOCK = size
+    try:
+        yield
+    finally:
+        sim1d._BLOCK = saved
+
+
+def assert_layout(s):
+    """The block layout of the `sim1d` docstring."""
+    blocks, cap = s._blocks, 2 * sim1d._BLOCK
+    keys = list(chain.from_iterable(blocks))
+    assert keys == sorted(keys) and len(keys) == s.n_agents
+    if s.n_agents <= cap:
+        assert len(blocks) == 1
+    else:
+        assert 3 <= len(blocks[0]) <= cap and 3 <= len(blocks[-1]) <= cap
+        assert all(sim1d._BLOCK <= len(block) <= cap for block in blocks[1:-1])
+    assert s._tops == [block[-1] for block in blocks[1:-1]]
+
+
+def dyadic_start(n, span, seed):
+    """``n`` seeded positions on the 2**-20 grid in ``[0, span)``."""
+    cells = np.random.default_rng(seed).integers(0, int(span * 2**20), n)
+    return (cells * 2.0**-20).tolist()
 
 
 class TestConstruction:
@@ -296,17 +329,22 @@ class TestGathering:
             assert s.core_span <= 1.0
 
     def test_invariant_violation_raises(self):
-        # force a corrupted state: widen the core behind the engine's back
-        s = new_swarm([0.0, 0.1, 0.2, 0.9, 1.4], 0.1, 3)
-        assert s.gathered
-        keys, n = s._keys, s.n_agents  # one unit is n key steps
-        keys[1] -= 5 * n
-        keys[3] += 5 * n
-        keys.sort()
-        assert s.core_span > 1.0 and s.gathered
-        with pytest.raises(InvariantViolationError):
-            for _ in range(50):
-                s.advance(1)
+        # force a corrupted state: widen the core behind the engine's back by
+        # moving the two lowest keys 5 units down and the two highest 5 up,
+        # which keeps every block sorted; one block, then two
+        for start in ([0.0, 0.1, 0.2, 0.9, 1.4], [k / 2000 for k in range(1100)]):
+            s = new_swarm(start, 0.1, 3)
+            assert s.gathered
+            first, last, n = s._blocks[0], s._blocks[-1], s.n_agents
+            for i in (0, 1):
+                first[i] -= 5 * n  # one unit is n key steps
+                last[-1 - i] += 5 * n
+            assert_layout(s)
+            assert len(s._blocks) == (1 if n == 5 else 2)
+            assert s.core_span > 1.0 and s.gathered
+            with pytest.raises(InvariantViolationError):
+                for _ in range(50):
+                    s.advance(1)
 
 
 class TestCentroidAndVariance:
@@ -506,6 +544,7 @@ spread_positions = st.lists(
 
 
 class TestAdvance:
+    @staticmethod  # no instance, so the small-block run below can call it too
     @given(spread_positions, epsilons_st, st.integers(0, 2**32), modes_st,
            st.integers(0, 700), st.booleans())
     @example([0.0], 0.1, 1, BILATERAL, 50, False)
@@ -514,7 +553,7 @@ class TestAdvance:
     @example([0.0, 0.0, 0.0, 0.0, 0.0], 0.3, 5, UNILATERAL_LEFT, 500, False)
     @example([-256.0, -100.0, 3.25, 50.5, 256.0], 0.2, 3, BILATERAL, 700, True)
     @settings(max_examples=150, deadline=None)
-    def test_advance_matches_reference_ticks(self, positions, eps, seed, mode, ticks,
+    def test_advance_matches_reference_ticks(positions, eps, seed, mode, ticks,
                                              until_gathered):
         # the pool refills after 16, 48, 112, 240, 496 and 1008 draws
         s = new_swarm(positions, eps, seed, mode)
@@ -522,7 +561,13 @@ class TestAdvance:
         assert outcome(lambda: s.advance(ticks, until_gathered)) == outcome(
             lambda: ref.run(ticks, until_gathered))
         assert observed(s) == ref.observed()
+        assert_layout(s)
         assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
+
+    def test_advance_matches_reference_ticks_in_small_blocks(self):
+        # at the minimum block size, N = 7 and 8 span two blocks
+        with block_size(3):
+            self.test_advance_matches_reference_ticks()
 
     def test_raise_leaves_state_as_tick_does(self):
         def forced():
@@ -589,6 +634,7 @@ exact_starts = st.one_of(
 
 
 class TestExactReference:
+    @staticmethod  # no instance, so the small-block run below can call it too
     @given(exact_starts, epsilons_st, st.integers(0, 2**32), modes_st,
            st.lists(st.integers(0, 40), min_size=1, max_size=5), st.booleans())
     @example([-0.1, 0.3, 0.9002914679668708, 2.7, 3.3, -0.4999999999], 0.3, 0, BILATERAL,
@@ -597,15 +643,44 @@ class TestExactReference:
     # halves that round to even cells both ways: core span exactly 1 at t = 0
     @example([0.0, 0.5, 1.5, 3.0], 0.1, 3, BILATERAL, [10], False)
     @example([-0.0, 0.0, 5e-324, -5e-324, 1.0], 0.1, 2, BILATERAL, [20], False)
+    # N = 16: in blocks of the minimum size, middle blocks grow and split
+    @example([1.75, -2.75, -5.5, -5.75, 3.75, 5.0, 1.25, 2.75, 0.5, 5.25, 3.75, -6.0, 4.25,
+              -5.5, 2.75, -4.0], 0.2, 0, BILATERAL, [40, 40, 40], False)
     @settings(max_examples=150, deadline=None)
-    def test_matches_exact_engine(self, positions, eps, seed, mode, blocks, until_gathered):
+    def test_matches_exact_engine(positions, eps, seed, mode, blocks, until_gathered):
         s = new_swarm(positions, eps, seed, mode)
         ref = ExactSwarm(positions, eps, seed, mode)
         assert observed(s) == ref.observed()
         for ticks in blocks:
             assert s.advance(ticks, until_gathered) == ref.run(ticks, until_gathered)
             assert observed(s) == ref.observed()
+            assert_layout(s)
         assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
+
+    def test_matches_exact_engine_in_small_blocks(self):
+        # at the minimum block size, N = 7..12 spans two to four blocks: keys
+        # route to middle blocks, which split, and end blocks merge inward
+        with block_size(3):
+            self.test_matches_exact_engine()
+
+    @pytest.mark.parametrize("mode", [BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+    def test_large_swarm_matches_exact_engine(self, mode):
+        # five blocks at the real block size, through gathering and after
+        start = dyadic_start(3000, 3.5, 17)
+        s = new_swarm(start, 0.1, 23, mode)
+        ref = ExactSwarm(start, 0.1, 23, mode)
+        assert len(s._blocks) >= 5
+        for _ in range(200):
+            if s.gathered:
+                break
+            assert s.advance(250, until_gathered=True) == ref.run(250, True)
+            assert observed(s) == ref.observed()
+            assert_layout(s)
+        assert s.gathered
+        for _ in range(8):
+            assert s.advance(250) == ref.run(250, False)
+            assert observed(s) == ref.observed()
+            assert_layout(s)
 
     @pytest.mark.parametrize("mode", [BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
     def test_non_dyadic_start_matches_exact(self, mode):
@@ -653,6 +728,20 @@ class TestUnilateralSweep:
         with pytest.raises(ValidationError):
             run_unilateral_sweep(s, -1)
         assert s.t == 0
+
+    def test_many_blocks_match_one_block(self):
+        start = dyadic_start(2000, 3.5, 29)
+
+        def sweep():
+            s = new_swarm(start, 0.1, 31, mode=UNILATERAL_RIGHT)
+            res = run_unilateral_sweep(s, 1_000_000)
+            return len(s._blocks), res.T, res.finished, res.crossings, s.positions
+
+        many = sweep()
+        with block_size(2000):
+            one = sweep()
+        assert many[0] > 1 and one[0] == 1
+        assert many[2] and many[1:] == one[1:]
 
     def test_requires_unilateral_mode(self):
         with pytest.raises(ValidationError):
