@@ -129,17 +129,33 @@ def _parse_positions(raw: str) -> list[float]:
     # split in chunks cut at commas, so that at N = 10^5 the parse holds a
     # few thousand token strings at a time rather than one per agent
     positions: list[float] = []
-    start = 0
-    try:
-        while start < len(raw):
-            stop = raw.find(",", start + _PARSE_CHUNK)
-            if stop < 0:
-                stop = len(raw)
-            positions += map(float, filter(str.strip, raw[start:stop].split(",")))
-            start = stop + 1
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse positions {raw!r}: {exc}") from exc
+    start = field = 0  # field: index of the chunk's first comma-separated field
+    while start < len(raw):
+        stop = raw.find(",", start + _PARSE_CHUNK)
+        if stop < 0:
+            stop = len(raw)
+        tokens = raw[start:stop].split(",")
+        try:
+            positions += map(float, filter(str.strip, tokens))
+        except ValueError as exc:
+            # quote the bad field alone: the whole argument can run to megabytes
+            i = next(i for i, token in enumerate(tokens) if _not_a_number(token))
+            shown = tokens[i] if len(tokens[i]) <= 40 else tokens[i][:40] + "..."
+            raise ValidationError(
+                f"cannot parse positions: field {field + i} (counting from 0) "
+                f"is {shown!r}, not a number"
+            ) from exc
+        field += len(tokens)
+        start = stop + 1
     return positions
+
+
+def _not_a_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return bool(token.strip())  # blank fields are skipped
+    return False
 
 
 def _check_extent(flag: str, value: float) -> None:

@@ -15,8 +15,10 @@ Six experiment kinds are supported:
   the crude Markov bound, with batch-mean standard errors (the chain
   mixes geometrically; consecutive-batch means de-correlate the stream).
 * ``centroid-drift``: after gathering, tallies the per-tick centroid
-  increments ``{+2/N, 0, -2/N}`` (classified exactly from the realized
-  jump directions) and the mean-square displacement per tick.
+  increments ``{+2/N, 0, -2/N}`` and the mean-square displacement per
+  tick.  The increments are classified exactly from the engine's
+  turn-back counts (`SwarmState1D.turn_backs`), read before and after one
+  ``advance`` over the whole horizon.
 * ``walk-validation``: single-walker checks of the first-passage mean,
   the farthest-excursion bound, two-barrier absorption against the exact
   finite-chain oracle, and the reflected chain against its stationary law.
@@ -438,24 +440,22 @@ def run_span_distribution(spec: ExperimentSpec) -> ExperimentResult:
 def run_centroid_drift(spec: ExperimentSpec) -> ExperimentResult:
     """Post-gathering centroid increment law and diffusion rate.
 
-    Increments are classified exactly from the two jump directions
-    (``+2/N`` iff both extremists jump right), bypassing float rounding
-    in the centroid itself.
+    Increments are classified exactly from the engine's turn-back counts
+    over one ``advance(horizon)`` call, bypassing float rounding in the
+    centroid itself: a tick is ``+2/N`` iff the right end alone turned
+    back (both extremists jump right), ``-2/N`` iff the left end alone
+    did, and 0 otherwise.
     """
     if spec.kind != "centroid-drift":
         raise ValidationError(f"not a centroid-drift spec: {spec.kind}")
     state, p = _gather_for_sampling(spec)
     n = state.n_agents
     ticks = spec.horizon
-    advance = state.advance
-    up = down = 0
-    for _ in range(ticks):
-        d_left, d_right = advance(1)
-        s = d_left + d_right
-        if s == 2:
-            up += 1
-        elif s == -2:
-            down += 1
+    left0, right0, both0 = state.turn_backs
+    state.advance(ticks)
+    left, right, both = state.turn_backs
+    up = right - right0 - (both - both0)
+    down = left - left0 - (both - both0)
     zero = ticks - up - down
 
     eps = p.epsilon

@@ -36,7 +36,11 @@ position, ``table[rank] + cell``.  The centroid is the exact input sum,
 kept as a few non-overlapping doubles, plus the net unit moves, rounded
 once by `math.fsum`: O(1) per call.  Every tick moves each moving end
 one unit inward unless its draw turns it back, so the net moves follow
-from ``t`` and one int count of turn-backs.  Inputs are validated to
+from ``t`` and the turn-back counts.  The state keeps three exact int
+tallies of turn-back ticks, `SwarmState1D.turn_backs`: ticks on which
+the left end turned back, the right end did, and both did.  The centroid
+uses right minus left; the three together classify the centroid
+increments without a per-tick call.  Inputs are validated to
 ``|x| < 2**52``, so that outputs stay doubles, and to
 ``N*(span + 2) < 2**62``, so that the keys can be built in int64.
 
@@ -147,7 +151,10 @@ class SwarmState1D:
     ``_blocks`` is the block list of the module docstring: one block while
     ``N <= 2*_BLOCK``, else middle blocks of ``_BLOCK`` to ``2*_BLOCK``
     keys and end blocks of 3 to ``2*_BLOCK``.  ``_tops`` holds the last key
-    of each middle block, for routing a moved key.
+    of each middle block, for routing a moved key.  ``_backs`` holds the
+    three turn-back tallies ``(left, right, both)`` read by `turn_backs`;
+    `centroid` uses ``right - left``.  They change only on a tick where an
+    end turns back, so the inward-move path of `advance` never touches them.
 
     Mutable; confined to one execution context at a time.  All stepping
     draws come from a `DrawPool` on the PCG64 stream, so any split of the
@@ -165,7 +172,7 @@ class SwarmState1D:
         "_table",
         "_cell0",
         "_sum",
-        "_turned",
+        "_backs",
         "_failed",
         "_pool",
     )
@@ -218,7 +225,7 @@ class SwarmState1D:
         self.mode = mode
         self.t = 0
         self._sum = tuple(total)
-        self._turned = 0  # right-end minus left-end turn-backs
+        self._backs = (0, 0, 0)  # turn-back ticks: left end, right end, both
         self._pool = DrawPool(rng)
         self.gathered = n < 4 or blocks[-1][-2] - blocks[0][1] <= n
         self._failed = 0  # ticks that raised
@@ -255,12 +262,19 @@ class SwarmState1D:
             return 0.0
         return self._at(self._blocks[-1][-2]) - self._at(self._blocks[0][1])
 
+    @property
+    def turn_backs(self) -> tuple[int, int, int]:
+        """Ticks on which ``(the left end, the right end, both ends)`` turned
+        back, i.e. jumped away from the group."""
+        return self._backs
+
     def centroid(self) -> float:
         # the exact sum rounded once, so the value depends on the multiset of
         # positions only.  Each tick moves each moving end one unit inward,
-        # and each counted turn-back moves it two units back.
+        # and each turn-back moves it two units back.
+        left, right, _ = self._backs
         drift = (self.mode == UNILATERAL_LEFT) - (self.mode == UNILATERAL_RIGHT)
-        moves = drift * self.t + 2 * self._turned if self._n > 1 else 0
+        moves = drift * self.t + 2 * (right - left) if self._n > 1 else 0
         return math.fsum(self._sum + (moves,)) / self._n
 
     def fractional_parts(self) -> tuple[float, ...]:
@@ -298,7 +312,7 @@ class SwarmState1D:
         # x_2 and x_{N-1} before a tick matter only while not gathered
         x2, xp = (None, None) if gathered else (first[1], last[-2])
         back = -n
-        d_left = d_right = turned = 0
+        d_left = d_right = lefts = rights = both = 0
         try:
             for _ in range(ticks):
                 if until_gathered and gathered:
@@ -312,7 +326,7 @@ class SwarmState1D:
                         d_left = n
                     else:
                         d_left = back
-                        turned -= 1
+                        lefts += 1
                     i += 1
                 if move_right:
                     if i == end:
@@ -322,7 +336,9 @@ class SwarmState1D:
                         d_right = back
                     else:
                         d_right = n
-                        turned += 1
+                        rights += 1
+                        if d_left == back:
+                            both += 1
                     i += 1
                     del last[-1]
                 if d_left:
@@ -362,8 +378,9 @@ class SwarmState1D:
         finally:
             pool.i = i
             self.t, self.gathered = t, gathered
-            if turned:  # most one-tick calls turn back no end
-                self._turned += turned
+            if lefts or rights:  # most one-tick calls turn back no end
+                left, right, both_ends = self._backs
+                self._backs = (left + lefts, right + rights, both_ends + both)
         return d_left // n, d_right // n
 
     def _put(self, key: int) -> None:
@@ -561,20 +578,34 @@ class WalkSample:
 
 def _absorbed_walks(
     rng: np.random.Generator, eps: float, trials: int, lower: int, upper: int | None
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Walk ``trials`` walkers from 0 in lockstep until each is absorbed.
 
     A walker is absorbed on hitting ``lower`` or ``upper`` (``None``: no
-    upper barrier).  Returns the absorption ticks and the running peaks in
-    absorption order (trial order within a tick) and the number absorbed
-    at ``upper``.  A hard cap of 10^9 ticks aborts with a diagnostic.
+    upper barrier).  Returns the absorption ticks in absorption order
+    (trial order within a tick), the running peaks in the same order, and
+    the number absorbed at ``upper``.  Only first passage reports
+    excursions, so the peaks are tracked only when ``upper`` is None and
+    are None otherwise.  Each tick draws one uniform per live walker, in
+    trial order.  A hard cap of 10^9 ticks aborts with a diagnostic.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    position = np.zeros(trials, dtype=np.int64)
-    peak = np.zeros(trials, dtype=np.int64)
+    if upper is None:
+        dtype = np.int64
+        peak = np.zeros(trials, dtype=np.int64)
+        done_peak = np.empty(trials, dtype=np.int64)
+    else:
+        # a live walker stays inside (lower, upper), so a step lands in
+        # [lower, upper]: the narrowest signed type holding both suffices
+        dtype = next(
+            (t for t in (np.int8, np.int16, np.int32)
+             if np.iinfo(t).min <= lower and upper <= np.iinfo(t).max),
+            np.int64,
+        )
+        peak = done_peak = None
+    position = np.zeros(trials, dtype=dtype)
     done_ticks = np.empty(trials, dtype=np.int64)
-    done_peak = np.empty(trials, dtype=np.int64)
     filled = hits_upper = tick = 0
     while position.size:
         tick += 1
@@ -583,22 +614,30 @@ def _absorbed_walks(
                 f"walk exceeded {_WALK_STEP_CAP} ticks without absorption; "
                 f"epsilon={eps}, {position.size} trials still running"
             )
-        position += np.where(rng.random(position.size) < eps, 1, -1)
-        np.maximum(peak, position, out=peak)
+        up = rng.random(position.size) < eps
+        position -= 1  # then +2 where the walker steps up
+        position += up
+        position += up
         hit = position == lower
-        if upper is not None:
+        if upper is None:
+            np.maximum(peak, position, out=peak)
+        else:
             at_upper = position == upper
-            hits_upper += int(at_upper.sum())
-            hit |= at_upper
-        if hit.any():
+            n_upper = np.count_nonzero(at_upper)
+            if n_upper:
+                hits_upper += n_upper
+                hit |= at_upper
+        n_hit = np.count_nonzero(hit)
+        if n_hit:
             # every live walker has taken exactly ``tick`` steps
-            n_hit = int(hit.sum())
             done_ticks[filled : filled + n_hit] = tick
-            done_peak[filled : filled + n_hit] = peak[hit]
+            live = ~hit
+            if upper is None:
+                done_peak[filled : filled + n_hit] = peak[hit]
+                peak = peak[live]
             filled += n_hit
-            position = position[~hit]
-            peak = peak[~hit]
-    return done_ticks, done_peak, hits_upper
+            position = position[live]
+    return done_ticks, done_peak, int(hits_upper)
 
 
 def simulate_walk_first_passage(

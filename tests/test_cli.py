@@ -140,7 +140,16 @@ class TestSim1d:
         with pytest.raises(ValidationError) as err:
             cli._parse_positions("0.5,,abc,1")
         assert str(err.value) == (
-            "cannot parse positions '0.5,,abc,1': could not convert string to float: 'abc'")
+            "cannot parse positions: field 2 (counting from 0) is 'abc', not a number")
+
+    def test_bad_token_error_quotes_only_the_token(self, tmp_path, capsys):
+        raw = ",".join(str(0.25 * i) for i in range(100_000)) + ",abc"
+        code = run_cli("sim1d", "--positions", raw, "--epsilon", "0.1", "--seed", "1",
+                       "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == EXIT_USER
+        assert len(err.encode()) < 300
+        assert "'abc'" in err and "field 100000 " in err
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert (

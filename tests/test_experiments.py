@@ -14,6 +14,7 @@ from lineswarm.errors import ValidationError
 from lineswarm.experiments import (
     SPAN_COLUMNS,
     SUMMARY_COLUMNS,
+    DriftStats,
     ExperimentSpec,
     ExperimentResult,
     SummaryRow,
@@ -250,6 +251,29 @@ class TestSpanDistribution:
         assert a.read_bytes() == b.read_bytes()
 
 
+def per_tick_drift(spec):
+    """Per-tick reference for `run_centroid_drift`: one ``advance(1)`` call
+    per tick, each increment classified from the returned directions."""
+    state, p = experiments._gather_for_sampling(spec)
+    n = state.n_agents
+    ticks = spec.horizon
+    up = down = 0
+    for _ in range(ticks):
+        d_left, d_right = state.advance(1)
+        s = d_left + d_right
+        if s == 2:
+            up += 1
+        elif s == -2:
+            down += 1
+    zero = ticks - up - down
+    eps = p.epsilon
+    p_move = eps * (1.0 - eps)
+    freqs = (up / ticks, zero / ticks, down / ticks)
+    ses = tuple(math.sqrt(f * (1.0 - f) / ticks) for f in freqs)
+    msd = (up + down) / ticks * (4.0 / n**2)
+    return DriftStats(eps, n, ticks, *freqs, *ses, msd, 8.0 * p_move / n**2)
+
+
 class TestCentroidDrift:
     def test_increment_law(self):
         spec = ExperimentSpec(
@@ -264,6 +288,16 @@ class TestCentroidDrift:
         assert abs(d.freq_zero - (1 - 2 * p_move)) <= 3 * d.stderr_zero
         assert d.msd_per_tick == pytest.approx(d.msd_expected, rel=0.05)
         assert len(res.summary_rows) == 4
+
+    @pytest.mark.parametrize("eps,n,horizon,seed", [
+        (0.2, 4, 30_000, 5), (0.1, 21, 50_000, 6), (0.45, 5, 20_000, 7), (0.01, 6, 20_000, 8),
+    ])
+    def test_equals_per_tick_reference(self, eps, n, horizon, seed):
+        spec = ExperimentSpec(
+            kind="centroid-drift", epsilons=(eps,), agent_counts=(n,),
+            initial_spans=(2.0,), trials=2, seed=seed, warmup=300, horizon=horizon,
+        )
+        assert run_centroid_drift(spec).drift == per_tick_drift(spec)
 
     def test_inertia_scales_with_population_squared(self):
         # same epsilon and horizon: diffusion per tick falls as 1/N^2

@@ -618,6 +618,29 @@ class TestAdvance:
         assert (res.T, res.reached) == (s.t, s.gathered)
 
 
+class TestTurnBacks:
+    @given(st.lists(st.integers(-(2**10), 2**10).map(lambda k: k * 0.25),
+                    min_size=2, max_size=12),
+           epsilons_st, st.integers(0, 2**32), modes_st, st.integers(0, 400))
+    @example([0.0, 0.0], 0.45, 3, BILATERAL, 400)
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_tallied_directions(self, positions, eps, seed, mode, ticks):
+        by_tick = new_swarm(positions, eps, seed, mode)
+        tally = [0, 0, 0]  # left end turned back, right end, both
+        for _ in range(ticks):
+            d_left, d_right = by_tick.advance(1)
+            tally[0] += d_left == -1
+            tally[1] += d_right == 1
+            tally[2] += d_left == -1 and d_right == 1
+        at_once = new_swarm(positions, eps, seed, mode)
+        at_once.advance(ticks)
+        assert at_once.turn_backs == by_tick.turn_backs == tuple(tally)
+        assert at_once.positions == by_tick.positions
+        assert at_once.centroid() == by_tick.centroid()
+        if mode != BILATERAL:
+            assert at_once.turn_backs[2] == 0
+
+
 # arbitrary finite doubles, with extra weight on (-1/2, 0), where x - floor(x)
 # rounds, and on small magnitudes, where ticks can gather the swarm
 any_double = st.one_of(
@@ -792,6 +815,33 @@ def assert_chain_matches_scalar(eps, seed, burn_in, samples, batches):
         assert occ.batch_means.tolist() == means
 
 
+def reference_absorbed_walks(rng, eps, trials, lower, upper):
+    """Reference for `sim1d._absorbed_walks`: the plain int64 lockstep kernel,
+    stepping with ``np.where`` and keeping every walker's running peak."""
+    position = np.zeros(trials, dtype=np.int64)
+    peak = np.zeros(trials, dtype=np.int64)
+    done_ticks = np.empty(trials, dtype=np.int64)
+    done_peak = np.empty(trials, dtype=np.int64)
+    filled = hits_upper = tick = 0
+    while position.size:
+        tick += 1
+        position += np.where(rng.random(position.size) < eps, 1, -1)
+        np.maximum(peak, position, out=peak)
+        hit = position == lower
+        if upper is not None:
+            at_upper = position == upper
+            hits_upper += int(at_upper.sum())
+            hit |= at_upper
+        if hit.any():
+            n_hit = int(hit.sum())
+            done_ticks[filled : filled + n_hit] = tick
+            done_peak[filled : filled + n_hit] = peak[hit]
+            filled += n_hit
+            position = position[~hit]
+            peak = peak[~hit]
+    return done_ticks, done_peak, hits_upper
+
+
 class TestWalkSimulators:
     def test_first_passage_eps_zero(self):
         w = simulate_walk_first_passage(WalkParams(0.0), 1, 500)
@@ -809,6 +859,25 @@ class TestWalkSimulators:
     def test_two_barrier_immediate(self):
         b = simulate_two_barrier_hits(WalkParams(0.1), 5, 50_000, 1, -1)
         assert abs(b.p_upper - 0.1) <= 3 * b.stderr + 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25, 0.45])
+    @pytest.mark.parametrize("lower,upper", [
+        (-1, None), (-3, None), (-1, 1), (-10, 1), (-50, 1),
+        (-128, 127), (-129, 2), (-200, 1), (-2, 300),
+    ])
+    def test_absorbed_walks_match_reference(self, eps, lower, upper):
+        # int8 holds [-128, 127] but not -129 or -200; int16 holds the rest
+        new_rng, ref_rng = (np.random.Generator(np.random.PCG64(41)) for _ in range(2))
+        ticks, peaks, hits = sim1d._absorbed_walks(new_rng, eps, 2_000, lower, upper)
+        ref_ticks, ref_peaks, ref_hits = reference_absorbed_walks(
+            ref_rng, eps, 2_000, lower, upper)
+        assert np.array_equal(ticks, ref_ticks)
+        assert hits == ref_hits and type(hits) is int
+        if upper is None:
+            assert np.array_equal(peaks, ref_peaks)
+        else:
+            assert peaks is None
+        assert new_rng.random() == ref_rng.random()  # the same draws were consumed
 
     def test_reflected_chain_matches_pi(self):
         p = WalkParams(0.1)
