@@ -14,8 +14,13 @@ package version, and wall time: the manifest alone suffices to re-execute
 the run and reproduce the result files byte for byte.  All randomness
 descends from the single ``--seed`` value.
 
-Exit codes: 0 success, 1 user error (bad flags or config), 2 internal
-error.
+An argument ``@FILE`` stands for the lines of FILE, one argument per
+line (``lineswarm sim1d @args.txt``), for inputs such as a long
+``--positions`` list that exceed the operating system's limit on one
+command-line argument.
+
+Exit codes: 0 success, 1 user error (bad flags or config, or a missing
+``@FILE``), 2 internal error.
 """
 
 from __future__ import annotations
@@ -320,7 +325,8 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lineswarm", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="lineswarm", description=__doc__.splitlines()[0],
+                     fromfile_prefix_chars="@")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

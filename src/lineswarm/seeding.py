@@ -40,20 +40,28 @@ class DrawPool:
     calls `refill` when ``i`` reaches the end of the block, and stores
     ``i`` back.  `sim2d` stores the bound `draw` method instead: calling a
     stored bound method is cheaper per draw than a ``__call__`` on the pool.
+    A numpy reader takes the draws ahead as one array with `ahead`, then
+    says with `consume` how many it read.
     """
 
-    __slots__ = ("_rng", "block", "i", "_size")
+    __slots__ = ("_rng", "block", "i", "_size", "_ahead", "_snap")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self.block: list[float] = []
         self.i = 0
         self._size = 16
+        self._ahead: list[np.ndarray] = []  # blocks drawn by `ahead`, not yet stored
+        self._snap = None  # the generator's state before them
+
+    def _fetch(self) -> np.ndarray:
+        block = self._rng.random(self._size)
+        self._size = min(2 * self._size, _MAX_BLOCK)
+        return block
 
     def refill(self) -> list[float]:
         """Fetch the next block, set ``i`` to 0 and return the block."""
-        self.block = self._rng.random(self._size).tolist()
-        self._size = min(2 * self._size, _MAX_BLOCK)
+        self.block = self._fetch().tolist()
         self.i = 0
         return self.block
 
@@ -64,3 +72,41 @@ class DrawPool:
             i = 0
         self.i = i + 1
         return self.block[i]
+
+    def ahead(self, count: int) -> np.ndarray:
+        """The draws from the next one on, at least ``count`` of them: the
+        rest of the block, then whole blocks drawn ahead.  Call `consume`
+        before the pool is read again."""
+        rest = np.array(self.block[self.i :])
+        self._snap = self._rng.bit_generator.state
+        blocks, total = self._ahead, rest.size
+        while total < count:
+            blocks.append(self._fetch())
+            total += blocks[-1].size
+        return np.concatenate((rest, *blocks)) if blocks else rest
+
+    def consume(self, count: int) -> None:
+        """Read ``count`` of the draws from `ahead`, leaving the pool as
+        `draw` leaves it: holding the block of the last draw read, with the
+        generator rewound past any block after it."""
+        blocks, self._ahead = self._ahead, []
+        used = count - (len(self.block) - self.i)  # read from the blocks ahead
+        drawn = 0  # doubles in the blocks ahead that the pool keeps
+        if used <= 0:
+            self.i += count
+        else:
+            for k, block in enumerate(blocks):
+                drawn += block.size
+                if used <= block.size:
+                    break
+                used -= block.size
+            self.block, self.i = block.tolist(), used
+            blocks = blocks[k + 1 :]
+        if blocks:  # give the rest back: the generator as after those doubles
+            bits = self._rng.bit_generator
+            bits.state = self._snap
+            if hasattr(bits, "advance"):  # PCG64, one word per double
+                bits.advance(drawn)
+            else:
+                self._rng.random(drawn)
+            self._size = blocks[0].size

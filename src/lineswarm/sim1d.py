@@ -69,6 +69,27 @@ Two theorem-backed invariants are checked on every tick and raise
 `SwarmState1D.gathered`, the one gathering test, is ``core_span <= 1``
 after construction and after every tick in every mode; in the
 unilateral modes it can fall back to False.
+
+Without a trajectory sink, `run_until_gathered` jumps a bilateral swarm
+to its gathering tick T in numpy, since until T the two ends never move
+the same agent.  Take the left end's draws as +1 (inward) and -1 (turn
+back), their running sum ``X_t``, the phase ``P_t = max(0, max_{u<=t}
+X_u)`` and the depth ``D_t = P_t - X_t``: a walk reflected at its
+running maximum.  After t ticks the left side is ``C_P``, the keys after
+P inward moves alone, with its extreme agent D units further out, so
+``x_2 = second(C_P)`` at every depth.  The P keys those moves pop are
+the P smallest of the closure ``{key + j*N : j >= 0}``; with ``key =
+N*cell + rank`` the closure runs level by level, each level's keys in
+rank order, and ``second(C_P)`` is its next entry of another agent.  The
+right end is the mirror image, on negated keys.  While ``x_{N-1} - x_2
+> 1``, the left end's moved keys stay at most one unit above its
+``x_2``, so strictly below ``x_{N-1}``, and the right end's at most one
+unit below its ``x_{N-1}``, so strictly above ``x_2``: neither end sees
+the other's agents.  At T both
+moves read the state before the tick, so the state at T is the two
+ends' moves together.  The jump checks the core-edge invariant on every
+tick, as arrays, and builds the blocks once, at T.  Its memory is
+O(N + T).
 """
 
 from __future__ import annotations
@@ -119,6 +140,9 @@ _WALK_STEP_CAP = 1_000_000_000
 # keys per block of the 1D state: a block holds at most 2*_BLOCK keys, and
 # cutting keeps end blocks at >= 3 keys only while _BLOCK >= 3
 _BLOCK = 512
+# draws in the first numpy pass of the gathering jump, and the most in one
+_JUMP_DRAWS = 2048
+_JUMP_CAP = 65536
 
 
 def _cut(keys):
@@ -487,6 +511,136 @@ def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:
     )
 
 
+class _InwardEnd:
+    """One end's inward-only moves, from sorted ``keys`` with this end first.
+
+    ``second[P]`` is ``x_2`` after P inward moves, at any depth.  The
+    popped keys are the closure ``{key + j*N}`` in sorted order: first the
+    ``lone`` levels below the second agent's cell, where only ``keys[0]``
+    moves and ``x_2`` stays ``keys[1]``, then, from that cell on, each
+    level's keys in rank order; ``who`` lists those later entries' agents
+    (indices into ``keys``).  There every level holds two agents or more,
+    and between an agent's entries at two levels lies an entry of each
+    other agent; so the next entry is always another agent's, and ``x_2``
+    at entry q is entry q+1.
+    """
+
+    __slots__ = ("n", "keys", "cells", "ranks", "lone", "who", "second")
+
+    def __init__(self, keys: np.ndarray, n: int) -> None:
+        cells = keys // n
+        self.n, self.keys, self.cells, self.ranks = n, keys, cells, keys - cells * n
+        self.lone = int(cells[1] - cells[0])
+        self.who = self.second = np.empty(0, np.int64)
+
+    def seconds(self, phase: np.ndarray) -> np.ndarray:
+        need = int(phase[-1]) + 1  # phases never fall
+        if need > self.second.size:
+            self._grow(max(need, 2 * self.second.size))
+        return self.second[phase]
+
+    def _grow(self, size: int) -> None:
+        """List entries anew until ``second`` covers ``size`` phases."""
+        n, lone = self.n, self.lone
+        if size <= lone:
+            self.second = np.full(size, self.keys[1])
+            return
+        want = size - lone + 1
+        # agent a lists levels start[a] up to top - 1; the first m agents,
+        # listed up to the next one's start, give m*start[m] - sum(start[:m])
+        start = np.maximum(self.cells, self.cells[1])
+        total = np.cumsum(start)
+        reach = np.arange(1, n + 1) * np.append(start[1:], start[-1] + want) - total
+        m = int(np.searchsorted(reach, want)) + 1
+        top = -(-(want + int(total[m - 1])) // m)
+        counts = top - start[:m]
+        who = np.repeat(np.arange(m), counts)
+        first = np.cumsum(counts) - counts  # each agent's first entry
+        level = np.arange(who.size) + np.repeat(start[:m] - first, counts)
+        vals = level * n + self.ranks[who]
+        order = np.argsort(vals, kind="stable")  # ties: equal keys, in agent order
+        self.who = who[order]
+        self.second = np.concatenate((np.full(lone, self.keys[1]), vals[order[1:]]))
+
+    def moves(self, phase: int, depth: int) -> np.ndarray:
+        """Each agent's inward units after ``phase`` inward moves at ``depth``."""
+        lone = self.lone
+        units = np.bincount(self.who[: max(phase - lone, 0)], minlength=self.n)
+        units[0] += min(phase, lone)
+        units[0 if phase < lone else self.who[phase - lone]] -= depth
+        return units
+
+
+def _jump_to_gathering(state: SwarmState1D, max_steps: int) -> None:
+    """Run a bilateral swarm's ticks up to gathering or ``max_steps`` in numpy.
+
+    Leaves the state, the pool and every tally as `SwarmState1D.advance`
+    with ``until_gathered`` would; the module docstring gives the method.
+    Each pass reads the pool's draws ahead, ``_JUMP_DRAWS`` at first and
+    twice as many each pass after, up to ``_JUMP_CAP``, and gives back
+    those past its last tick.  The state is built once, at the last tick
+    run: the tick that gathers, that moves a core edge outward (raised, as
+    `advance` raises), or ``max_steps``.  If that tick leaves the swarm
+    apart, the caller goes on with `advance`.
+    """
+    n, pool = state._n, state._pool
+    keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)
+    ends = _InwardEnd(keys, n), _InwardEnd(-keys[::-1], n)  # right end: negated keys
+    keep = 1.0 - state.params.epsilon
+    walk = np.zeros(2, np.int64)  # X of the left and right end before the next tick
+    phase = np.zeros(2, np.int64)
+    t = both = 0
+    want = _JUMP_DRAWS
+    while t < max_steps:
+        src = pool.ahead(min(want, 2 * (max_steps - t)))
+        want = min(2 * want, _JUMP_CAP)
+        ticks = min(src.size // 2, max_steps - t)
+        back = src[: 2 * ticks].reshape(ticks, 2).T >= keep  # rows: left, right
+        steps = np.empty((2, ticks + 1), np.int64)
+        steps[:, 0] = walk
+        np.subtract(1, 2 * back, out=steps[:, 1:])
+        x = np.cumsum(steps, axis=1)
+        p = np.maximum.accumulate(x, axis=1)
+        np.maximum(p, phase[:, None], out=p)
+        # x_2 and -x_{N-1} before the pass, then after each tick
+        low, high = ends[0].seconds(p[0]), ends[1].seconds(p[1])
+        stop = np.flatnonzero(
+            (low[1:] + high[1:] >= -n) | (low[1:] < low[:-1]) | (high[1:] < high[:-1])
+        )
+        ran = int(stop[0]) + 1 if stop.size else ticks
+        pool.consume(2 * ran)
+        both += int(np.count_nonzero(back[0, :ran] & back[1, :ran]))
+        t += ran
+        walk, phase = x[:, ran], p[:, ran]
+        if stop.size:
+            break
+    x2, xp = int(low[ran - 1]), -int(high[ran - 1])  # before the last tick
+
+    left, right = (end.moves(int(ph), int(ph - x)) for end, ph, x in zip(ends, phase, walk))
+    keys += (left - right[::-1]) * n
+    keys.sort()
+    state._blocks = blocks = [block.tolist() for block in _cut(keys)]
+    state._tops = [block[-1] for block in blocks[1:-1]]
+    state.t += t
+    # each end's X counts inward ticks less turn-backs
+    left_backs, right_backs, both_backs = state._backs
+    state._backs = (
+        left_backs + (t - int(walk[0])) // 2,
+        right_backs + (t - int(walk[1])) // 2,
+        both_backs + both,
+    )
+    x2_after, xp_after = blocks[0][1], blocks[-1][-2]
+    if x2_after < x2 or xp_after > xp:
+        state._failed += 1
+        at = state._at
+        raise InvariantViolationError(
+            f"core edge moved outward at t={state.t}: "
+            f"x2 {at(x2)} -> {at(x2_after)}, "
+            f"x_(N-1) {at(xp)} -> {at(xp_after)}"
+        )
+    state.gathered = xp_after - x2_after <= n
+
+
 def run_until_gathered(
     state: SwarmState1D,
     max_steps: int,
@@ -497,14 +651,22 @@ def run_until_gathered(
 
     For ``N <= 3`` the core span is 0 by definition and T = 0.  When a
     ``sink`` is given, a trajectory row is emitted at entry and every
-    ``stride`` ticks thereafter (plus the final tick).
+    ``stride`` ticks thereafter (plus the final tick), by `advance` calls
+    of at most ``stride`` ticks.  Without a sink, a bilateral swarm that
+    is not gathered jumps to its gathering tick in numpy (the two ends as
+    reflected walks, see the module docstring); the unilateral modes, and
+    any tick after a jump that stopped short of gathering, use `advance`.
+    Both paths leave the identical state, pool and tallies.
     """
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if sink is None:
-        state.advance(max_steps, until_gathered=True)
+        t0 = state.t
+        if state.mode == BILATERAL and not state.gathered and max_steps:
+            _jump_to_gathering(state, max_steps)
+        state.advance(max_steps - (state.t - t0), until_gathered=True)
     else:
         _emit(state, sink)
         t0 = state.t

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lineswarm import cli
@@ -312,3 +313,26 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "5"
+
+    def test_arguments_from_file(self, tmp_path):
+        # the wide benchmark's list size: 10^5 positions, some 1.9 MB, over
+        # the 128 KiB an OS passes in one argument, so it goes in an @FILE
+        cells = np.random.default_rng(5).integers(0, int(3.5 * 2**20), 100_000)
+        positions = ",".join(map(repr, (cells * 2.0**-20).tolist()))
+        assert len(positions) > 1 << 17
+        flags = ["--positions", positions, "--epsilon", "0.1", "--seed", "3",
+                 "--max-steps", "300", "--stride", "100"]
+        args = tmp_path / "args.txt"
+        args.write_text("\n".join(flags) + "\n", encoding="utf-8")
+        command = [sys.executable, "-m", "lineswarm.cli", "sim1d", f"@{args}", "--out"]
+        proc = subprocess.run([*command, str(tmp_path / "file")], capture_output=True)
+        assert proc.returncode == EXIT_OK
+        assert run_cli("sim1d", *flags, "--out", str(tmp_path / "main")) == EXIT_OK
+        trajectory = (tmp_path / "file" / "trajectory.csv").read_bytes()
+        assert trajectory == (tmp_path / "main" / "trajectory.csv").read_bytes()
+        assert trajectory.count(b"\n") == 5  # t = 0, 100, 200, 300, and the header
+
+        command[4] = f"@{tmp_path / 'missing.txt'}"
+        proc = subprocess.run([*command, str(tmp_path / "none")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_USER
+        assert "missing.txt" in proc.stderr

@@ -7,7 +7,7 @@ The seeded walk-validation run also pins what the walk simulators draw
 and compute, so a change to their RNG use or arithmetic shows here too.
 The seeded ``epsilon > 0`` line runs (all three modes, the span
 distribution, the centroid drift and the unilateral sweep) do the same
-for the 1D tick.
+for the 1D tick, and the seeded convergence sweep for the gathering jump.
 """
 
 import json
@@ -109,6 +109,23 @@ CENTROID_DRIFT_CSV = (
     "0.16000000000000003,\n"
     "centroid-drift:msd-per-tick,0.20000000000000001,6,,5000,0.034799999999999998,,,"
     "0.035555555555555562,\n"
+)
+
+# convergence-vs-N at N = 5 and 30, S0 = 20, five trials per point: the
+# gathering times of the seeded bilateral runs, without a trajectory
+CONVERGENCE_SPEC = {"kind": "convergence-vs-N", "epsilons": [0.1, 0.3], "agent_counts": [5, 30],
+                    "initial_spans": [20.0], "trials": 5, "seed": 3, "max_steps": 1000000}
+
+CONVERGENCE_CSV = (
+    "kind,epsilon,N,S0,trials,mean,stddev,stderr,bound,ratio\n"
+    "convergence-vs-N,0.10000000000000001,5,20,5,16.199999999999999,4.1472882706655438,"
+    "1.8547236990991405,106.73618866217593,6.5886536211219715\n"
+    "convergence-vs-N,0.10000000000000001,30,20,5,109.2,11.670475568716128,"
+    "5.2191953402799562,1325.7851300681089,12.140889469488176\n"
+    "convergence-vs-N,0.29999999999999999,5,20,5,24,6,2.6832815729997477,"
+    "170.49801929241107,7.1040841371837944\n"
+    "convergence-vs-N,0.29999999999999999,30,20,5,207.80000000000001,37.090430032556917,"
+    "16.587344573499401,2629.7624250055869,12.655257098198204\n"
 )
 
 # (seed, max_steps) -> (T, crossings, finished) for a sweep from the positions below
@@ -323,6 +340,14 @@ def test_seeded_sampling_results(tmp_path, kind, expected):
     code = main(["experiment", "--config", str(config), "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert (tmp_path / "results.csv").read_bytes() == expected.encode()
+
+
+def test_seeded_convergence_results(tmp_path):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(CONVERGENCE_SPEC), encoding="utf-8")
+    code = main(["experiment", "--config", str(config), "--jobs", "1", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "results.csv").read_bytes() == CONVERGENCE_CSV.encode()
 
 
 def test_seeded_unilateral_sweeps():

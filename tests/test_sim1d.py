@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from lineswarm import sim1d
 from lineswarm.errors import InvariantViolationError, ValidationError
-from lineswarm.seeding import DrawPool
+from lineswarm.experiments import uniform_start
+from lineswarm.seeding import DrawPool, child_seed
 from lineswarm.rw_analytics import (
     WalkParams,
     min_fractional_distance,
@@ -441,6 +442,25 @@ class TestDeterminism:
         drawn = [pool.draw() for _ in range(n)]
         assert drawn == np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
 
+    @given(st.integers(0, 2**32), st.integers(0, 300), st.integers(0, 20_000),
+           st.floats(0.0, 1.0), st.sampled_from([np.random.PCG64, np.random.MT19937]))
+    @example(0, 16, 4000, 1.0, np.random.PCG64)  # from a block's end, read to a block's end
+    @settings(max_examples=100, deadline=None)
+    def test_draws_read_ahead_match_draw(self, seed, before, count, frac, bits):
+        # the pool after `ahead` and `consume` is the pool after that many
+        # `draw` calls, with the same draws and the generator at the same word
+        ahead, drawn = (DrawPool(np.random.Generator(bits(seed))) for _ in range(2))
+        for pool in (ahead, drawn):
+            for _ in range(before):
+                pool.draw()
+        got = ahead.ahead(count)
+        assert got.size >= count
+        used = int(frac * got.size)
+        ahead.consume(used)
+        assert got[:used].tolist() == [drawn.draw() for _ in range(used)]
+        assert (ahead.block, ahead.i, ahead._size) == (drawn.block, drawn.i, drawn._size)
+        assert ahead._rng.random(5).tolist() == drawn._rng.random(5).tolist()
+
     def test_step_loop_matches_run_loop(self):
         rng = np.random.default_rng(3)
         pos = rng.uniform(0, 25, 9)
@@ -717,6 +737,115 @@ class TestExactReference:
             for _ in range(10):
                 assert s.advance(15) == ref.run(15, False)
                 assert observed(s) == ref.observed()
+
+
+def jump_outcome(s):
+    """Everything the gathering jump must leave as `advance` does."""
+    assert_layout(s)
+    pool = s._pool
+    return (list(chain.from_iterable(s._blocks)), s.t, s.gathered, s.turn_backs,
+            s.invariant_checks, pool.i, pool._size, [pool.draw() for _ in range(8)],
+            pool._rng.random(4).tolist())  # the generator itself, past the pool's block
+
+
+# starts for the gathering jump, N = 4..40
+jump_starts = st.one_of(
+    # dyadic: quarter units, so coincident agents are common
+    st.lists(st.integers(-(2**8), 2**8).map(lambda k: k * 0.25), min_size=4, max_size=40),
+    # non-dyadic doubles
+    st.lists(st.floats(-40.0, 40.0), min_size=4, max_size=40),
+    # one fraction in many cells: equal ranks at different levels
+    st.lists(st.integers(-40, 40).map(lambda c: c + 0.375), min_size=4, max_size=40),
+    # one agent more than 2 units below (or, flipped, above) the rest
+    st.tuples(st.floats(-300.0, -2.01), st.lists(st.floats(0.0, 8.0), min_size=3, max_size=39),
+              st.sampled_from([1.0, -1.0]))
+    .map(lambda p: [p[2] * x for x in [p[0], *p[1]]]),
+)
+
+
+class TestGatheringJump:
+    @staticmethod  # no instance, so the small-block run below can call it too
+    @given(jump_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 60),
+           st.floats(0.0, 1.5))
+    @example([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99, 0, 1.0)
+    @example([-300.0, 0.25, 0.5, 3.0, 7.75], 0.2, 3, 7, 1.5)
+    @example([0.0, 0.5, 1.0, 1.5, 100.0, 100.5, 101.0, 101.5], 0.0, 1, 0, 0.5)
+    @settings(max_examples=150, deadline=None)
+    def test_jump_matches_advance(positions, eps, seed, pre, frac):
+        # max_steps a fraction of the gathering time: timeouts, T itself and beyond
+        timing = new_swarm(positions, eps, seed)
+        timing.advance(pre)
+        timing.advance(10**7, until_gathered=True)
+        max_steps = int(frac * (timing.t - pre))
+        jumped, stepped = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
+        jumped.advance(pre)  # the pool mid-block
+        stepped.advance(pre)
+        res = run_until_gathered(jumped, max_steps)
+        stepped.advance(max_steps, until_gathered=True)
+        assert (res.T, res.reached) == (stepped.t, stepped.gathered)
+        assert jump_outcome(jumped) == jump_outcome(stepped)
+
+    def test_jump_matches_advance_in_small_blocks(self):
+        # at the minimum block size, N >= 7 spans several blocks
+        with block_size(3):
+            self.test_jump_matches_advance()
+
+    def test_sweep_grid_trials(self):
+        # the convergence_vs_n.json grid point N = 200, S0 = 100, first 20 trials
+        for flat in range(300, 320):
+            start = uniform_start(42, "convergence-init", flat, 200, 100.0)
+            seed = child_seed(42, "convergence-dyn", flat)
+            jumped, stepped = new_swarm(start, 0.1, seed), new_swarm(start, 0.1, seed)
+            assert run_until_gathered(jumped, 10**7).reached
+            stepped.advance(10**7, until_gathered=True)
+            assert jump_outcome(jumped) == jump_outcome(stepped)
+
+    def test_passes_split_inside_excursions(self):
+        # from a fresh pool the first numpy pass ends at t = 2040 (blocks of
+        # 16 to 2048 draws); at epsilon = 0.45 most ends are mid-excursion
+        # there, so the ticks after it read the phase carried across passes
+        start = dyadic_start(40, 100.0, 9)
+        for seed in range(10):
+            for max_steps in range(2036, 2047):
+                jumped, stepped = new_swarm(start, 0.45, seed), new_swarm(start, 0.45, seed)
+                run_until_gathered(jumped, max_steps)
+                stepped.advance(max_steps, until_gathered=True)
+                assert jump_outcome(jumped) == jump_outcome(stepped)
+
+    def test_generator_without_advance_is_rewound_by_redrawing(self):
+        start = dyadic_start(30, 20.0, 4)
+        jumped, stepped = (
+            sim1d.SwarmState1D(start, WalkParams(0.2), np.random.Generator(np.random.MT19937(8)),
+                               BILATERAL)
+            for _ in range(2)
+        )
+        run_until_gathered(jumped, 10**6)
+        stepped.advance(10**6, until_gathered=True)
+        assert jump_outcome(jumped) == jump_outcome(stepped)
+
+    def test_outward_core_edge_raises_at_its_tick(self, monkeypatch):
+        # an x_2 reported one unit too high at phase 0 falls back on the left
+        # end's first inward move: the jump raises there, with the state,
+        # the pool and the tallies of that tick
+        seconds = sim1d._InwardEnd.seconds
+
+        def high_at_start(end, phase):
+            got = seconds(end, phase)
+            return got + end.n * ((phase == 0) & (end.keys[0] == lowest))
+
+        start = [0.0, 0.5, 9.0, 20.0, 30.25]
+        jumped = new_swarm(start, 0.45, 14)
+        jumped.advance(5)  # the pool mid-block
+        lowest = jumped._blocks[0][0]
+        monkeypatch.setattr(sim1d._InwardEnd, "seconds", high_at_start)
+        with pytest.raises(InvariantViolationError, match="core edge moved outward at t=56:"):
+            run_until_gathered(jumped, 10**6)
+        stepped = new_swarm(start, 0.45, 14)
+        stepped.advance(56)
+        assert jumped.t == 56
+        assert jumped.invariant_checks == jumped.t - 1
+        assert (jumped.positions, jumped.turn_backs) == (stepped.positions, stepped.turn_backs)
+        assert [jumped._pool.draw() for _ in range(8)] == [stepped._pool.draw() for _ in range(8)]
 
 
 def metrics_row(s):
