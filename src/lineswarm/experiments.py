@@ -18,7 +18,7 @@ Six experiment kinds are supported:
   increments ``{+2/N, 0, -2/N}`` and the mean-square displacement per
   tick.  The increments are classified exactly from the engine's
   turn-back counts (`SwarmState1D.turn_backs`), read before and after one
-  ``advance`` over the whole horizon.
+  `sample_total_spans` sample over the whole horizon.
 * ``walk-validation``: single-walker checks of the first-passage mean,
   the farthest-excursion bound, two-barrier absorption against the exact
   finite-chain oracle, and the reflected chain against its stationary law.
@@ -61,6 +61,7 @@ from .seeding import child_seed
 from .sim1d import (
     new_swarm,
     run_until_gathered,
+    sample_total_spans,
     simulate_reflected_chain,
     simulate_two_barrier_hits,
     simulate_walk_first_passage,
@@ -394,7 +395,7 @@ def _gather_for_sampling(spec: ExperimentSpec):
             f"cannot sample: core not gathered within max_steps={spec.max_steps} "
             f"(eps={eps}, N={n}, S0={s0}); raise max_steps or shrink S0"
         )
-    state.advance(spec.warmup)
+    sample_total_spans(state, 1, spec.warmup)
     return state, p
 
 
@@ -403,10 +404,7 @@ def run_span_distribution(spec: ExperimentSpec) -> ExperimentResult:
     if spec.kind != "span-distribution":
         raise ValidationError(f"not a span-distribution spec: {spec.kind}")
     state, p = _gather_for_sampling(spec)
-    spans = np.empty(spec.samples)
-    for i in range(spec.samples):
-        state.advance(spec.stride)
-        spans[i] = state.total_span
+    spans = sample_total_spans(state, spec.samples, spec.stride)
 
     k_max = max(12, int(math.ceil(spans.max())))
     rows: list[SpanTailRow] = []
@@ -441,10 +439,10 @@ def run_centroid_drift(spec: ExperimentSpec) -> ExperimentResult:
     """Post-gathering centroid increment law and diffusion rate.
 
     Increments are classified exactly from the engine's turn-back counts
-    over one ``advance(horizon)`` call, bypassing float rounding in the
-    centroid itself: a tick is ``+2/N`` iff the right end alone turned
-    back (both extremists jump right), ``-2/N`` iff the left end alone
-    did, and 0 otherwise.
+    over one `sample_total_spans` sample of ``horizon`` ticks, bypassing
+    float rounding in the centroid itself: a tick is ``+2/N`` iff the
+    right end alone turned back (both extremists jump right), ``-2/N``
+    iff the left end alone did, and 0 otherwise.
     """
     if spec.kind != "centroid-drift":
         raise ValidationError(f"not a centroid-drift spec: {spec.kind}")
@@ -452,7 +450,7 @@ def run_centroid_drift(spec: ExperimentSpec) -> ExperimentResult:
     n = state.n_agents
     ticks = spec.horizon
     left0, right0, both0 = state.turn_backs
-    state.advance(ticks)
+    sample_total_spans(state, 1, ticks)
     left, right, both = state.turn_backs
     up = right - right0 - (both - both0)
     down = left - left0 - (both - both0)

@@ -48,14 +48,21 @@ modes_st = st.sampled_from([BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
 
 
 @contextmanager
-def block_size(size):
-    """Build and step swarms with ``sim1d._BLOCK = size`` inside the block."""
-    saved = sim1d._BLOCK
-    sim1d._BLOCK = size
+def patched(**values):
+    """Set `sim1d` module constants inside the block."""
+    saved = {name: getattr(sim1d, name) for name in values}
+    for name, value in values.items():
+        setattr(sim1d, name, value)
     try:
         yield
     finally:
-        sim1d._BLOCK = saved
+        for name, value in saved.items():
+            setattr(sim1d, name, value)
+
+
+def block_size(size):
+    """Build and step swarms with ``sim1d._BLOCK = size`` inside the block."""
+    return patched(_BLOCK=size)
 
 
 def assert_layout(s):
@@ -846,6 +853,96 @@ class TestGatheringJump:
         assert jumped.invariant_checks == jumped.t - 1
         assert (jumped.positions, jumped.turn_backs) == (stepped.positions, stepped.turn_backs)
         assert [jumped._pool.draw() for _ in range(8)] == [stepped._pool.draw() for _ in range(8)]
+
+
+def spans_by_advance(state, samples, stride):
+    """The scalar reference for `sample_total_spans`."""
+    spans = np.empty(samples)
+    for i in range(samples):
+        state.advance(stride)
+        spans[i] = state.total_span
+    return spans
+
+
+# starts for the shape table, N = 4..60; most gather within a few hundred ticks
+table_starts = st.one_of(
+    # dyadic: quarter units, so equal keys are common
+    st.lists(st.integers(-16, 16).map(lambda k: k * 0.25), min_size=4, max_size=60),
+    # non-dyadic doubles
+    st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=60),
+    # tied fractional parts: one fraction in a few cells, so equal ranks
+    st.lists(st.integers(-3, 3).map(lambda c: c + 0.375), min_size=4, max_size=60),
+)
+
+
+class TestSampleTotalSpans:
+    @staticmethod  # no instance, so the runs below can call it too
+    @given(table_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 300),
+           st.integers(0, 40), st.integers(1, 30), st.sampled_from([None, 64, 2]),
+           st.sampled_from([None, 2**10]))
+    @example([0.0, 0.25, 0.5, 0.75], 0.0, 1, 0, 0, 5, None, None)  # 0 samples
+    @example([0.0, 0.0, 0.0, 0.0, 1.0], 0.45, 5, 300, 40, 30, 2, None)
+    @example([0.5, 0.5, 1.5, 1.5, 2.5, 2.5], 0.3, 8, 300, 40, 30, None, 2**10)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_advance(positions, eps, seed, pre, samples, stride, cap, table_keys):
+        # ``cap`` shortens the passes to cross them; ``table_keys`` makes the
+        # table fill, so that a call goes on with `advance` mid-sample
+        tabled, stepped = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
+        for s in (tabled, stepped):
+            run_until_gathered(s, 10**6)
+            s.advance(pre)  # the pool mid-block
+        with patched(_TABLE_DRAWS=cap or sim1d._TABLE_DRAWS,
+                     _TABLE_KEYS=table_keys or sim1d._TABLE_KEYS):
+            got = sim1d.sample_total_spans(tabled, samples, stride)
+        assert np.array_equal(got, spans_by_advance(stepped, samples, stride))
+        assert jump_outcome(tabled) == jump_outcome(stepped)
+
+    def test_matches_advance_in_small_blocks(self):
+        # at the minimum block size only N <= 6 is one block, so the rest
+        # runs the `advance` loop
+        with block_size(3):
+            self.test_matches_advance()
+
+    @pytest.mark.parametrize("n, tabled", [(1024, True), (1025, False)])
+    def test_largest_one_block_swarm(self, monkeypatch, n, tabled):
+        calls = []
+        shape_ticks = sim1d._shape_ticks
+        monkeypatch.setattr(sim1d, "_shape_ticks",
+                            lambda *args: calls.append(1) or shape_ticks(*args))
+        start = dyadic_start(n, 1.5, 3)
+        swarms = new_swarm(start, 0.1, 12), new_swarm(start, 0.1, 12)
+        for s in swarms:
+            assert run_until_gathered(s, 10**6).reached
+        got = sim1d.sample_total_spans(swarms[0], 300, 7)
+        assert np.array_equal(got, spans_by_advance(swarms[1], 300, 7))
+        assert jump_outcome(swarms[0]) == jump_outcome(swarms[1])
+        assert bool(calls) == tabled
+
+    def test_reopening_core_raises_at_its_tick(self):
+        # a swarm flagged gathered with its upper half moved 3 units up: its
+        # next tick reopens the core, which the table never stores, so
+        # `advance` runs that tick and raises, leaving the state as the
+        # scalar run does
+        start = [0.0, 0.25, 0.5, 1.5, 1.75, 2.0]
+        swarms = new_swarm(start, 0.2, 6), new_swarm(start, 0.2, 6)
+        for s in swarms:
+            s.advance(37)  # the pool mid-block
+            assert s.gathered
+            s._blocks[0][3:] = [key + 3 * s.n_agents for key in s._blocks[0][3:]]
+        tabled, stepped = swarms
+        with pytest.raises(InvariantViolationError, match="gathered core reopened at t=38:"):
+            sim1d.sample_total_spans(tabled, 10, 4)
+        with pytest.raises(InvariantViolationError, match="gathered core reopened at t=38:"):
+            spans_by_advance(stepped, 10, 4)
+        assert tabled.invariant_checks == tabled.t - 1 == 37
+        assert jump_outcome(tabled) == jump_outcome(stepped)
+
+    def test_negative_counts_rejected(self):
+        s = new_swarm([0.0, 0.5, 1.0, 1.5], 0.1, 1)
+        with pytest.raises(ValidationError):
+            sim1d.sample_total_spans(s, -1, 1)
+        with pytest.raises(ValidationError):
+            sim1d.sample_total_spans(s, 1, -1)
 
 
 def metrics_row(s):
