@@ -33,26 +33,28 @@ def child_seed(seed: int, purpose: str, index: int = 0) -> int:
 class DrawPool:
     """Uniform draws on [0, 1) from ``rng``, in blocks of 16 doubling to 4096.
 
-    A PCG64 double takes one 64-bit word whatever the block size, so the
-    draws are those of one ``rng.random(n)`` call however the blocks fall,
-    and a short trial fetches few more uniforms than it uses.  The next
-    draw is ``block[i]``.  A hot loop reads ``block`` and ``i`` directly,
-    calls `refill` when ``i`` reaches the end of the block, and stores
-    ``i`` back.  `sim2d` stores the bound `draw` method instead: calling a
-    stored bound method is cheaper per draw than a ``__call__`` on the pool.
-    A numpy reader takes the draws ahead as one array with `ahead`, then
-    says with `consume` how many it read.
+    The pool hands out the draws of one ``rng.random(n)`` call, in order,
+    however its readers split them and whatever the bit generator, and a
+    short trial fetches few more uniforms than it uses.  The next draw is
+    ``block[i]``.  A hot loop reads ``block`` and ``i`` directly, calls
+    `refill` when ``i`` reaches the end of the block, and stores ``i``
+    back.  `sim2d` stores the bound `draw` method instead: calling a
+    stored bound method is cheaper per draw than a ``__call__`` on the
+    pool.  A numpy reader takes the draws ahead as one array with `ahead`,
+    then says with `consume` how many it read.  The pool keeps every draw
+    it fetched and has not handed out, so the generator may run up to one
+    pass of such a reader ahead of the pool; nothing else reads it.
     """
 
-    __slots__ = ("_rng", "block", "i", "_size", "_ahead", "_snap")
+    __slots__ = ("_rng", "block", "i", "_size", "_array", "_next")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self.block: list[float] = []
         self.i = 0
         self._size = 16
-        self._ahead: list[np.ndarray] = []  # blocks drawn by `ahead`, not yet stored
-        self._snap = None  # the generator's state before them
+        # ``block`` as an array, and the draws fetched after it
+        self._array = self._next = np.empty(0)
 
     def _fetch(self) -> np.ndarray:
         block = self._rng.random(self._size)
@@ -60,8 +62,11 @@ class DrawPool:
         return block
 
     def refill(self) -> list[float]:
-        """Fetch the next block, set ``i`` to 0 and return the block."""
-        self.block = self._fetch().tolist()
+        """Take the next block, from the draws ahead before the generator,
+        set ``i`` to 0 and return the block."""
+        draws = self._next if self._next.size else self._fetch()
+        self._array, self._next = draws[:_MAX_BLOCK], draws[_MAX_BLOCK:]
+        self.block = self._array.tolist()
         self.i = 0
         return self.block
 
@@ -74,39 +79,18 @@ class DrawPool:
         return self.block[i]
 
     def ahead(self, count: int) -> np.ndarray:
-        """The draws from the next one on, at least ``count`` of them: the
-        rest of the block, then whole blocks drawn ahead.  Call `consume`
-        before the pool is read again."""
-        rest = np.array(self.block[self.i :])
-        self._snap = self._rng.bit_generator.state
-        blocks, total = self._ahead, rest.size
-        while total < count:
-            blocks.append(self._fetch())
-            total += blocks[-1].size
-        return np.concatenate((rest, *blocks)) if blocks else rest
+        """The draws from the next one on: the first ``count``, or, when it
+        must fetch whole blocks to hold that many, all it holds, at most
+        one block more.  `consume` says how many were read."""
+        draws = [self._array[self.i :], self._next]
+        held = draws[0].size + draws[1].size
+        while held < count:
+            draws.append(self._fetch())
+            held += draws[-1].size
+        self._next = np.concatenate(draws)
+        self.i = len(self.block)  # the block's rest now leads ``_next``
+        return self._next if len(draws) > 2 else self._next[:count]
 
     def consume(self, count: int) -> None:
-        """Read ``count`` of the draws from `ahead`, leaving the pool as
-        `draw` leaves it: holding the block of the last draw read, with the
-        generator rewound past any block after it."""
-        blocks, self._ahead = self._ahead, []
-        used = count - (len(self.block) - self.i)  # read from the blocks ahead
-        drawn = 0  # doubles in the blocks ahead that the pool keeps
-        if used <= 0:
-            self.i += count
-        else:
-            for k, block in enumerate(blocks):
-                drawn += block.size
-                if used <= block.size:
-                    break
-                used -= block.size
-            self.block, self.i = block.tolist(), used
-            blocks = blocks[k + 1 :]
-        if blocks:  # give the rest back: the generator as after those doubles
-            bits = self._rng.bit_generator
-            bits.state = self._snap
-            if hasattr(bits, "advance"):  # PCG64, one word per double
-                bits.advance(drawn)
-            else:
-                self._rng.random(drawn)
-            self._size = blocks[0].size
+        """Hand out the first ``count`` draws from `ahead`."""
+        self._next = self._next[count:]

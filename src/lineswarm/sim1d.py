@@ -163,8 +163,8 @@ _BLOCK = 512
 # draws in the first numpy pass of the gathering jump, and the most in one
 _JUMP_DRAWS = 2048
 _JUMP_CAP = 65536
-# draws in one pass of `sample_total_spans`: each pass costs a fixed
-# fraction of a millisecond, and its arrays add to the process's peak memory
+# draws in one pass of `sample_total_spans`: its arrays add to the
+# process's peak memory
 _TABLE_DRAWS = 16384
 # keys the shape table of `sample_total_spans` may hold: its memory cap.
 # Learning a transition costs about as much as copying 64 + N keys, and a
@@ -209,8 +209,8 @@ class SwarmState1D:
     end turns back, so the inward-move path of `advance` never touches them.
 
     Mutable; confined to one execution context at a time.  All stepping
-    draws come from a `DrawPool` on the PCG64 stream, so any split of the
-    ticks into `advance` calls consumes the identical sequence of uniforms.
+    draws come from a `DrawPool`, so any split of the ticks into `advance`
+    calls consumes the identical sequence of uniforms.
     """
 
     __slots__ = (
@@ -605,11 +605,10 @@ def _jump_to_gathering(state: SwarmState1D, max_steps: int) -> None:
     Leaves the state, the pool and every tally as `SwarmState1D.advance`
     with ``until_gathered`` would; the module docstring gives the method.
     Each pass reads the pool's draws ahead, ``_JUMP_DRAWS`` at first and
-    twice as many each pass after, up to ``_JUMP_CAP``, and gives back
-    those past its last tick.  The state is built once, at the last tick
-    run: the tick that gathers, that moves a core edge outward (raised, as
-    `advance` raises), or ``max_steps``.  If that tick leaves the swarm
-    apart, the caller goes on with `advance`.
+    twice as many each pass after, up to ``_JUMP_CAP``.  The state is
+    built once, at the last tick run: the tick that gathers, that moves a
+    core edge outward (raised, as `advance` raises), or ``max_steps``.  If
+    that tick leaves the swarm apart, the caller goes on with `advance`.
     """
     n, pool = state._n, state._pool
     keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)

@@ -45,6 +45,7 @@ lattice_positions = st.lists(
 
 epsilons_st = st.floats(min_value=0.0, max_value=0.45)
 modes_st = st.sampled_from([BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
 @contextmanager
@@ -449,24 +450,37 @@ class TestDeterminism:
         drawn = [pool.draw() for _ in range(n)]
         assert drawn == np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
 
-    @given(st.integers(0, 2**32), st.integers(0, 300), st.integers(0, 20_000),
-           st.floats(0.0, 1.0), st.sampled_from([np.random.PCG64, np.random.MT19937]))
-    @example(0, 16, 4000, 1.0, np.random.PCG64)  # from a block's end, read to a block's end
+    @given(st.integers(0, 2**32), st.sampled_from(BIT_GENERATORS),
+           st.lists(st.tuples(st.sampled_from(["draw", "loop", "ahead"]),
+                              st.integers(0, 9000), st.floats(0.0, 1.0)), max_size=8))
+    # from a block's end, read to a block's end; then two passes' leftovers
+    # read by the hot loop
+    @example(0, np.random.PCG64, [("draw", 16, 0.0), ("ahead", 4000, 1.0), ("loop", 9, 0.0)])
+    @example(0, np.random.Philox, [("ahead", 50, 0.5), ("ahead", 10, 0.0), ("loop", 9000, 0.0)])
     @settings(max_examples=100, deadline=None)
-    def test_draws_read_ahead_match_draw(self, seed, before, count, frac, bits):
-        # the pool after `ahead` and `consume` is the pool after that many
-        # `draw` calls, with the same draws and the generator at the same word
-        ahead, drawn = (DrawPool(np.random.Generator(bits(seed))) for _ in range(2))
-        for pool in (ahead, drawn):
-            for _ in range(before):
-                pool.draw()
-        got = ahead.ahead(count)
-        assert got.size >= count
-        used = int(frac * got.size)
-        ahead.consume(used)
-        assert got[:used].tolist() == [drawn.draw() for _ in range(used)]
-        assert (ahead.block, ahead.i, ahead._size) == (drawn.block, drawn.i, drawn._size)
-        assert ahead._rng.random(5).tolist() == drawn._rng.random(5).tolist()
+    def test_draws_read_ahead_match_draw(self, seed, bits, reads):
+        # any interleaving of the pool's three readers hands out the draws
+        # of one `random` call, in order; `ahead` returns at least the draws
+        # asked for and at most one block more
+        pool, got = DrawPool(np.random.Generator(bits(seed))), []
+        for how, count, frac in reads:
+            if how == "draw":
+                got += [pool.draw() for _ in range(count)]
+            elif how == "loop":  # as `SwarmState1D.advance` reads the pool
+                draws, i = pool.block, pool.i
+                for _ in range(count):
+                    if i == len(draws):
+                        draws, i = pool.refill(), 0
+                    got.append(draws[i])
+                    i += 1
+                pool.i = i
+            else:
+                src = pool.ahead(count)
+                assert count <= src.size < count + 4096
+                used = int(frac * src.size)
+                got += src[:used].tolist()
+                pool.consume(used)
+        assert got == np.random.Generator(bits(seed)).random(len(got)).tolist()
 
     def test_step_loop_matches_run_loop(self):
         rng = np.random.default_rng(3)
@@ -749,10 +763,9 @@ class TestExactReference:
 def jump_outcome(s):
     """Everything the gathering jump must leave as `advance` does."""
     assert_layout(s)
-    pool = s._pool
+    # the draws that come next, over more than two whole blocks
     return (list(chain.from_iterable(s._blocks)), s.t, s.gathered, s.turn_backs,
-            s.invariant_checks, pool.i, pool._size, [pool.draw() for _ in range(8)],
-            pool._rng.random(4).tolist())  # the generator itself, past the pool's block
+            s.invariant_checks, [s._pool.draw() for _ in range(9000)])
 
 
 # starts for the gathering jump, N = 4..40
@@ -797,6 +810,13 @@ class TestGatheringJump:
         with block_size(3):
             self.test_jump_matches_advance()
 
+    def test_jump_matches_advance_in_short_passes(self):
+        # a pass asking for 2 to 8 draws gets only those while the pool
+        # holds more, so it ends mid-block and the next one starts from the
+        # draws it left in the pool
+        with patched(_JUMP_DRAWS=2, _JUMP_CAP=8):
+            self.test_jump_matches_advance()
+
     def test_sweep_grid_trials(self):
         # the convergence_vs_n.json grid point N = 200, S0 = 100, first 20 trials
         for flat in range(300, 320):
@@ -819,7 +839,7 @@ class TestGatheringJump:
                 stepped.advance(max_steps, until_gathered=True)
                 assert jump_outcome(jumped) == jump_outcome(stepped)
 
-    def test_generator_without_advance_is_rewound_by_redrawing(self):
+    def test_jump_matches_advance_on_mt19937(self):
         start = dyadic_start(30, 20.0, 4)
         jumped, stepped = (
             sim1d.SwarmState1D(start, WalkParams(0.2), np.random.Generator(np.random.MT19937(8)),
@@ -902,6 +922,20 @@ class TestSampleTotalSpans:
         # runs the `advance` loop
         with block_size(3):
             self.test_matches_advance()
+
+    @pytest.mark.parametrize("bits", BIT_GENERATORS, ids=lambda bits: bits.__name__)
+    def test_numpy_readers_match_advance_on_any_bit_generator(self, bits):
+        # the gathering jump and the shape table read the draws `advance`
+        # reads, whatever the bit generator behind the pool
+        start = [0.0, 0.3, 5.7, 9.1, 14.2, 20.9, 30.25, 41.0]
+        fast, slow = (sim1d.SwarmState1D(start, WalkParams(0.2), np.random.Generator(bits(8)),
+                                         BILATERAL)
+                      for _ in range(2))
+        assert run_until_gathered(fast, 10**6).reached
+        got = sim1d.sample_total_spans(fast, 200, 3)
+        slow.advance(10**6, until_gathered=True)
+        assert np.array_equal(got, spans_by_advance(slow, 200, 3))
+        assert jump_outcome(fast) == jump_outcome(slow)
 
     @pytest.mark.parametrize("n, tabled", [(1024, True), (1025, False)])
     def test_largest_one_block_swarm(self, monkeypatch, n, tabled):
