@@ -14,14 +14,15 @@ epsilon`` for the bias strength, the facts implemented here are:
 * the reflected walk on ``{1, 2, ...}`` (left moves from state 1 stay
   at 1) has stationary law ``pi(k) = r^(k-1) (1 - 2 eps)/(1 - eps)``
   with ``r = epsilon / (1 - epsilon)``, hence tail ``P(X >= k) =
-  r^(k-1)``, and for two independent copies ``P(X + Y >= k) =
-  r^(k-2) ((k-2)(1-2 eps)/(1-eps) + 1)``.
+  r^(k-1)``, mean ``(1 - eps)/(1 - 2 eps)`` in closed form, and for two
+  independent copies ``P(X + Y >= k) = r^(k-2) ((k-2)(1-2 eps)/(1-eps) +
+  1)``.
 
 On top of these sit the expected-time bounds for a swarm of agents on
 the line in which only the two extremal agents move (see `sim1d`): the
-one-sided sweep bound, the half-shrink bound, and the full gathering
-bound driven by the smallest circular distance between fractional parts
-of the initial positions.
+one-sided sweep bound and the full gathering bound driven by the
+smallest circular distance between fractional parts of the initial
+positions.
 
 Everything here is a pure function of its arguments.  `finite_chain_oracle`
 is deliberately implemented as a banded linear solve rather than through
@@ -54,13 +55,11 @@ __all__ = [
     "tail_prob_sum",
     "markov_span_bound",
     "gathering_bound_unilateral",
-    "half_shrink_bound",
     "circular_fraction",
     "min_fractional_distance",
     "gathering_time_bound",
     "gathering_bound_from_terms",
     "finite_chain_oracle",
-    "hit_prob_series_partial_sums",
     "reflected_chain_mean",
 ]
 
@@ -240,29 +239,6 @@ def gathering_bound_unilateral(cfg: InitialConfiguration) -> float:
     return total / (1.0 - 2.0 * cfg.params.epsilon)
 
 
-def half_shrink_bound(
-    n_agents: int, s0: float, total_span0: float, p: WalkParams
-) -> float:
-    """Expected ticks to shrink the core excess ``s0`` by half.
-
-    When the inner agents span ``1 + s0``, placing two virtual fences a
-    half-excess inward decouples the two extremal sweeps; whichever side
-    finishes first has cleared ``ceil(s0/2)`` per inner agent plus the
-    initial end gap, giving the bound
-    ``(1/(1-2 eps)) * ((N-2) ceil(s0/2) + (total_span0 - 1))``.
-    """
-    if n_agents < 3:
-        raise ValidationError(f"need at least 3 agents, got {n_agents}")
-    if not s0 > 0:
-        raise ValidationError(f"s0 must be positive, got {s0}")
-    if not total_span0 >= 1.0 + s0:
-        raise ValidationError(
-            f"total span {total_span0} cannot be smaller than 1 + s0 = {1.0 + s0}"
-        )
-    steps = (n_agents - 2) * math.ceil(s0 / 2.0) + (total_span0 - 1.0)
-    return steps / (1.0 - 2.0 * p.epsilon)
-
-
 def circular_fraction(x: float) -> float:
     """Fractional part of ``x`` folded onto the circle [0, 1).
 
@@ -415,49 +391,10 @@ def finite_chain_oracle(
     return AbsorbingChainSolution(left_target, right_barrier, p_left, p_right, steps)
 
 
-def hit_prob_series_partial_sums(p: WalkParams, k_max: int = CATALAN_MAX_K) -> list[float]:
-    """Partial sums of the first-passage series for reaching -1.
+def reflected_chain_mean(p: WalkParams) -> float:
+    """Mean of the reflected walk's stationary law: ``(1 - eps)/(1 - 2 eps)``.
 
-    The walk first hits -1 at tick ``2k+1`` with probability
-    ``(1-eps) C_k (eps (1-eps))^k``; the partial sums increase toward 1.
-    Small independent oracle used by tests; ``k_max`` is capped by the
-    exact-Catalan range.
+    The closed form of ``sum k pi(k)``; 1 at ``eps = 0``, where the law
+    is the point mass at 1.
     """
-    if not 0 <= k_max <= CATALAN_MAX_K:
-        raise ValidationError(f"k_max must be in [0, {CATALAN_MAX_K}], got {k_max}")
-    x = p.epsilon * (1.0 - p.epsilon)
-    head = 1.0 - p.epsilon
-    sums = []
-    total = 0.0
-    xk = 1.0
-    for k in range(k_max + 1):
-        total += head * catalan(k) * xk
-        xk *= x
-        sums.append(total)
-    return sums
-
-
-def reflected_chain_mean(p: WalkParams, tail_tol: float = 1e-15) -> float:
-    """Mean of the reflected walk's stationary law by direct series summation.
-
-    Sums ``k pi(k)`` until the remaining tail (bounded by the geometric
-    tail times a linear factor) drops below ``tail_tol``.  Independent
-    oracle for tests; does not use the closed-form mean.  For
-    ``epsilon < 1/2`` the tail bound always falls below ``tail_tol``, as
-    ``ratio**k`` decays to 0, but the number of terms grows like
-    ``log(1/tail_tol) / (1 - ratio)``: 12,372 at ``epsilon = 0.499``.
-    """
-    if p.epsilon == 0.0:
-        return 1.0
-    r = p.ratio
-    head = (1.0 - 2.0 * p.epsilon) / (1.0 - p.epsilon)
-    power = 1.0  # r**(k-1) by the multiplies of _ratio_power, so terms match stationary_pi
-    total = 0.0
-    k = 1
-    while True:
-        total += k * (power * head)
-        power *= r
-        # remaining tail < (k+1) * P(X >= k+1) / (1 - ratio)
-        if (k + 1) * power / (1.0 - r) < tail_tol:
-            return total
-        k += 1
+    return (1.0 - p.epsilon) / (1.0 - 2.0 * p.epsilon)

@@ -38,9 +38,7 @@ class DrawPool:
     short trial fetches few more uniforms than it uses.  The next draw is
     ``block[i]``.  A hot loop reads ``block`` and ``i`` directly, calls
     `refill` when ``i`` reaches the end of the block, and stores ``i``
-    back.  `sim2d` stores the bound `draw` method instead: calling a
-    stored bound method is cheaper per draw than a ``__call__`` on the
-    pool.  A numpy reader takes the draws ahead as one array with `ahead`,
+    back.  A numpy reader takes the draws ahead as one array with `ahead`,
     then says with `consume` how many it read.  The pool keeps every draw
     it fetched and has not handed out, so the generator may run up to one
     pass of such a reader ahead of the pool; nothing else reads it.
@@ -69,14 +67,6 @@ class DrawPool:
         self.block = self._array.tolist()
         self.i = 0
         return self.block
-
-    def draw(self) -> float:
-        i = self.i
-        if i >= len(self.block):
-            self.refill()
-            i = 0
-        self.i = i + 1
-        return self.block[i]
 
     def ahead(self, count: int) -> np.ndarray:
         """The draws from the next one on: the first ``count``, or, when it

@@ -124,7 +124,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolationError, ValidationError
-from .rw_analytics import WalkParams, circular_fraction
+from .rw_analytics import WalkParams
 from .seeding import DrawPool
 
 __all__ = [
@@ -139,12 +139,10 @@ __all__ = [
     "WalkSample",
     "BarrierSample",
     "ChainOccupancy",
-    "Metrics",
     "new_swarm",
     "run_until_gathered",
     "run_unilateral_sweep",
     "sample_total_spans",
-    "metrics",
     "simulate_walk_first_passage",
     "simulate_two_barrier_hits",
     "simulate_reflected_chain",
@@ -188,13 +186,6 @@ class TrajectoryRow(NamedTuple):
     total_span: float
     x_min: float
     x_max: float
-
-
-class Metrics(NamedTuple):
-    centroid: float
-    variance: float
-    core_span: float
-    total_span: float
 
 
 class SwarmState1D:
@@ -328,9 +319,6 @@ class SwarmState1D:
         drift = (self.mode == UNILATERAL_LEFT) - (self.mode == UNILATERAL_RIGHT)
         moves = drift * self.t + 2 * (right - left) if self._n > 1 else 0
         return math.fsum(self._sum + (moves,)) / self._n
-
-    def fractional_parts(self) -> tuple[float, ...]:
-        return tuple(sorted(circular_fraction(x) for x in self.positions))
 
     # -- stepping ----------------------------------------------------------
 
@@ -510,20 +498,6 @@ def new_swarm(
     params = epsilon if isinstance(epsilon, WalkParams) else WalkParams(epsilon)
     rng = np.random.Generator(np.random.PCG64(seed))
     return SwarmState1D(positions, params, rng, mode)
-
-
-def metrics(state: SwarmState1D, reference: float | None = None) -> Metrics:
-    """Centroid, variance, and spans.
-
-    ``variance`` is the mean squared deviation from ``reference`` when
-    given (the fixed-origin form whose one-tick decrease is exactly
-    ``(2/N)(total_span - 1)`` in the deterministic ``epsilon = 0`` case),
-    otherwise from the current centroid.
-    """
-    c = state.centroid()
-    ref = c if reference is None else reference
-    var = math.fsum((x - ref) ** 2 for x in state.positions) / state.n_agents
-    return Metrics(c, var, state.core_span, state.total_span)
 
 
 def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:

@@ -46,7 +46,6 @@ __all__ = [
     "Trajectory2DRow",
     "orientation",
     "convex_hull",
-    "bisector_direction",
     "new_swarm2d",
     "step2d",
     "run2d",
@@ -227,20 +226,6 @@ def convex_hull(points: Sequence) -> HullInfo:
     return _monotone_chain(pts[keep], keep.tolist())
 
 
-def bisector_direction(hull: HullInfo, vertex_index: int) -> tuple[float, float]:
-    """Unit interior bisector at the given hull vertex (by original index)."""
-    try:
-        i = hull.vertices.index(vertex_index)
-    except ValueError:
-        raise ValidationError(f"index {vertex_index} is not a hull vertex") from None
-    b = hull.bisectors[i]
-    if b is None:
-        raise DegenerateConfigurationError(
-            "a single-vertex hull has no bisector direction"
-        )
-    return b
-
-
 def hull_diameter(hull: HullInfo) -> float:
     """Largest pairwise distance, attained between hull vertices."""
     coords = hull.coordinates
@@ -257,7 +242,7 @@ def hull_diameter(hull: HullInfo) -> float:
 class SwarmState2D:
     """Planar point set plus tick counter and a seeded RNG stream."""
 
-    __slots__ = ("params", "t", "_pts", "_draw")
+    __slots__ = ("params", "t", "_pts", "_pool")
 
     def __init__(
         self,
@@ -268,7 +253,7 @@ class SwarmState2D:
         self.params = params
         self.t = 0
         self._pts = _as_points(points).copy()
-        self._draw = DrawPool(rng).draw
+        self._pool = DrawPool(rng)
 
     @property
     def n_agents(self) -> int:
@@ -303,15 +288,14 @@ def step2d(state: SwarmState2D) -> HullInfo:
     hull's CCW vertex order.  A single distinct location stays put.
     """
     hull = convex_hull(state._pts)
-    keep = 1.0 - state.params.epsilon
-    if len(hull.vertices) > 1:
-        pts = state._pts
-        # hull vertices are distinct rows, so moving each as it draws is
-        # the same as drawing all first
-        for idx, (bx, by) in zip(hull.vertices, hull.bisectors):
-            sign = 1.0 if state._draw() < keep else -1.0
-            pts[idx, 0] = pts.item(idx, 0) + sign * bx
-            pts[idx, 1] = pts.item(idx, 1) + sign * by
+    h = len(hull.vertices)
+    if h > 1:
+        pool = state._pool
+        sign = np.where(pool.ahead(h)[:h] < 1.0 - state.params.epsilon, 1.0, -1.0)
+        pool.consume(h)
+        # hull vertices are distinct rows, and a move by +-1 times the
+        # bisector is one exact product and one rounded add per coordinate
+        state._pts[np.array(hull.vertices)] += sign[:, None] * np.array(hull.bisectors)
     state.t += 1
     return hull
 

@@ -1,0 +1,170 @@
+"""Independent oracles and helpers that only the tests call.
+
+Each one is a small direct computation, kept apart from the package so
+that the package holds only what the CLI, the experiments or the
+benchmark run: series sums to check closed forms against, a half-shrink
+bound, the fractional parts and the variance of a 1D swarm, the
+bisector at one planar hull vertex, and a one-draw-at-a-time reader of
+a `DrawPool`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+from lineswarm.errors import DegenerateConfigurationError, ValidationError
+from lineswarm.rw_analytics import (
+    CATALAN_MAX_K,
+    WalkParams,
+    catalan,
+    circular_fraction,
+)
+from lineswarm.seeding import DrawPool
+from lineswarm.sim1d import SwarmState1D
+from lineswarm.sim2d import HullInfo
+
+__all__ = [
+    "Metrics",
+    "bisector_direction",
+    "fractional_parts",
+    "half_shrink_bound",
+    "hit_prob_series_partial_sums",
+    "metrics",
+    "reflected_chain_mean_series",
+    "take",
+]
+
+
+# -- walks -------------------------------------------------------------------
+
+
+def half_shrink_bound(
+    n_agents: int, s0: float, total_span0: float, p: WalkParams
+) -> float:
+    """Expected ticks to shrink the core excess ``s0`` by half.
+
+    When the inner agents span ``1 + s0``, placing two virtual fences a
+    half-excess inward decouples the two extremal sweeps; whichever side
+    finishes first has cleared ``ceil(s0/2)`` per inner agent plus the
+    initial end gap, giving the bound
+    ``(1/(1-2 eps)) * ((N-2) ceil(s0/2) + (total_span0 - 1))``.
+    """
+    if n_agents < 3:
+        raise ValidationError(f"need at least 3 agents, got {n_agents}")
+    if not s0 > 0:
+        raise ValidationError(f"s0 must be positive, got {s0}")
+    if not total_span0 >= 1.0 + s0:
+        raise ValidationError(
+            f"total span {total_span0} cannot be smaller than 1 + s0 = {1.0 + s0}"
+        )
+    steps = (n_agents - 2) * math.ceil(s0 / 2.0) + (total_span0 - 1.0)
+    return steps / (1.0 - 2.0 * p.epsilon)
+
+
+def hit_prob_series_partial_sums(p: WalkParams, k_max: int = CATALAN_MAX_K) -> list[float]:
+    """Partial sums of the first-passage series for reaching -1.
+
+    The walk first hits -1 at tick ``2k+1`` with probability
+    ``(1-eps) C_k (eps (1-eps))^k``; the partial sums increase toward 1.
+    ``k_max`` is capped by the exact-Catalan range.
+    """
+    if not 0 <= k_max <= CATALAN_MAX_K:
+        raise ValidationError(f"k_max must be in [0, {CATALAN_MAX_K}], got {k_max}")
+    x = p.epsilon * (1.0 - p.epsilon)
+    head = 1.0 - p.epsilon
+    sums = []
+    total = 0.0
+    xk = 1.0
+    for k in range(k_max + 1):
+        total += head * catalan(k) * xk
+        xk *= x
+        sums.append(total)
+    return sums
+
+
+def reflected_chain_mean_series(p: WalkParams, tail_tol: float = 1e-15) -> float:
+    """Mean of the reflected walk's stationary law by direct series summation.
+
+    Sums ``k pi(k)`` until the remaining tail (bounded by the geometric
+    tail times a linear factor) drops below ``tail_tol``; does not use
+    the closed-form mean.  For ``epsilon < 1/2`` the tail bound always
+    falls below ``tail_tol``, as ``ratio**k`` decays to 0, but the number
+    of terms grows like ``log(1/tail_tol) / (1 - ratio)``: 12,372 at
+    ``epsilon = 0.499``.
+    """
+    if p.epsilon == 0.0:
+        return 1.0
+    r = p.ratio
+    head = (1.0 - 2.0 * p.epsilon) / (1.0 - p.epsilon)
+    power = 1.0  # r**(k-1) by repeated multiplies, so terms match stationary_pi
+    total = 0.0
+    k = 1
+    while True:
+        total += k * (power * head)
+        power *= r
+        # remaining tail < (k+1) * P(X >= k+1) / (1 - ratio)
+        if (k + 1) * power / (1.0 - r) < tail_tol:
+            return total
+        k += 1
+
+
+# -- the 1D swarm ------------------------------------------------------------
+
+
+class Metrics(NamedTuple):
+    centroid: float
+    variance: float
+    core_span: float
+    total_span: float
+
+
+def metrics(state: SwarmState1D, reference: float | None = None) -> Metrics:
+    """Centroid, variance, and spans.
+
+    ``variance`` is the mean squared deviation from ``reference`` when
+    given (the fixed-origin form whose one-tick decrease is exactly
+    ``(2/N)(total_span - 1)`` in the deterministic ``epsilon = 0`` case),
+    otherwise from the current centroid.
+    """
+    c = state.centroid()
+    ref = c if reference is None else reference
+    var = math.fsum((x - ref) ** 2 for x in state.positions) / state.n_agents
+    return Metrics(c, var, state.core_span, state.total_span)
+
+
+def fractional_parts(state: SwarmState1D) -> tuple[float, ...]:
+    """The agents' fractional parts on the circle [0, 1), sorted."""
+    return tuple(sorted(circular_fraction(x) for x in state.positions))
+
+
+# -- the planar swarm --------------------------------------------------------
+
+
+def bisector_direction(hull: HullInfo, vertex_index: int) -> tuple[float, float]:
+    """Unit interior bisector at the given hull vertex (by original index)."""
+    try:
+        i = hull.vertices.index(vertex_index)
+    except ValueError:
+        raise ValidationError(f"index {vertex_index} is not a hull vertex") from None
+    b = hull.bisectors[i]
+    if b is None:
+        raise DegenerateConfigurationError(
+            "a single-vertex hull has no bisector direction"
+        )
+    return b
+
+
+# -- draws -------------------------------------------------------------------
+
+
+def take(pool: DrawPool, k: int) -> list[float]:
+    """The next ``k`` draws of ``pool``, read one at a time as a hot loop
+    reads them: ``block[i]``, with a `refill` at the end of each block."""
+    out = []
+    for _ in range(k):
+        if pool.i >= len(pool.block):
+            pool.refill()
+        out.append(pool.block[pool.i])
+        pool.i += 1
+    return out

@@ -33,7 +33,6 @@ from lineswarm.rw_analytics import (
 from lineswarm.seeding import child_seed
 from lineswarm.sim1d import (
     UNILATERAL_RIGHT,
-    metrics,
     new_swarm,
     run_unilateral_sweep,
     run_until_gathered,
@@ -42,6 +41,8 @@ from lineswarm.sim1d import (
     simulate_walk_first_passage,
 )
 from lineswarm.sim2d import convex_hull, hull_diameter, new_swarm2d, run2d
+
+from oracles import metrics
 
 SEED = 20_260_810
 

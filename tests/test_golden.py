@@ -202,7 +202,7 @@ WALK_VALIDATION_CSV = (
     "0.0070655413805312895,0.11111111111111112,\n"
     "walk-validation:chain-tv,0.10000000000000001,,,100000,0.00043567901234561494,,,,\n"
     "walk-validation:chain-mean,0.10000000000000001,,,100000,1.1240399999999999,,"
-    "0.0017975246728473416,1.1250000000000004,\n"
+    "0.0017975246728473416,1.125,\n"
 )
 
 WALK_VALIDATION_JSONL = (
@@ -226,7 +226,7 @@ WALK_VALIDATION_JSONL = (
     '"stddev": null, "stderr": null, "bound": null, "ratio": null}\n'
     '{"kind": "walk-validation:chain-mean", "epsilon": 0.10000000000000001, '
     '"N": null, "S0": null, "trials": 100000, "mean": 1.1240399999999999, '
-    '"stddev": null, "stderr": 0.0017975246728473416, "bound": 1.1250000000000004, '
+    '"stddev": null, "stderr": 0.0017975246728473416, "bound": 1.125, '
     '"ratio": null}\n'
 )
 

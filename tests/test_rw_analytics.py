@@ -21,8 +21,6 @@ from lineswarm.rw_analytics import (
     gathering_bound_from_terms,
     gathering_bound_unilateral,
     gathering_time_bound,
-    half_shrink_bound,
-    hit_prob_series_partial_sums,
     markov_span_bound,
     min_fractional_distance,
     prob_hit_minus_one,
@@ -31,6 +29,12 @@ from lineswarm.rw_analytics import (
     stationary_pi,
     tail_prob_single,
     tail_prob_sum,
+)
+
+from oracles import (
+    half_shrink_bound,
+    hit_prob_series_partial_sums,
+    reflected_chain_mean_series,
 )
 
 EPSILONS = [0.0, 0.02, 0.1, 0.25, 0.3, 0.45, 0.49]
@@ -368,34 +372,43 @@ class TestFiniteChainOracle:
 class TestReflectedChainMean:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.45])
     def test_series_sum_matches_closed_form(self, eps):
-        # sanity against (1-eps)/(1-2 eps); the series oracle itself is used
-        # by the simulation tests as the reference value
+        # the closed form against the independent series oracle, which the
+        # simulation tests also use as their reference value
         p = WalkParams(eps)
-        expect = 1.0 if eps == 0.0 else (1 - eps) / (1 - 2 * eps)
-        assert reflected_chain_mean(p) == pytest.approx(expect, rel=1e-10)
+        assert reflected_chain_mean(p) == pytest.approx(
+            reflected_chain_mean_series(p), rel=1e-10)
 
     def test_near_half_ends(self):
         # 12,372 terms; the alarm turns a per-term rerun of the power into a
         # failure instead of a long wait
-        assert mean_within(WalkParams(0.499), 2.0) == 250.49999999999673
+        assert mean_within(reflected_chain_mean_series, WalkParams(0.499), 2.0) == (
+            250.49999999999673)
 
     def test_past_old_term_cap(self):
         # more than 100,000 terms: this once raised "series failed to converge"
         eps = 0.4999
-        mean = mean_within(WalkParams(eps), 2.0)
+        mean = mean_within(reflected_chain_mean_series, WalkParams(eps), 2.0)
         assert mean == pytest.approx((1 - eps) / (1 - 2 * eps), rel=1e-9)
 
+    def test_closed_form_near_half_ends(self):
+        # the series would sum about 10^10 terms here; 1 - eps is the one
+        # rounded step of the closed form
+        eps = 0.5 - 1e-9
+        exact = (1 - Fraction(eps)) / (1 - 2 * Fraction(eps))
+        mean = mean_within(reflected_chain_mean, WalkParams(eps), 1.0)
+        assert mean == pytest.approx(float(exact), rel=1e-15)
 
-def mean_within(p, seconds):
-    """`reflected_chain_mean(p)`, or a TimeoutError after ``seconds``."""
+
+def mean_within(mean, p, seconds):
+    """``mean(p)``, or a TimeoutError after ``seconds``."""
 
     def too_slow(signum, frame):
-        raise TimeoutError(f"reflected_chain_mean({p.epsilon}) did not end")
+        raise TimeoutError(f"{mean.__name__}({p.epsilon}) did not end")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        return reflected_chain_mean(p)
+        return mean(p)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)

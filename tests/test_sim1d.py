@@ -19,14 +19,12 @@ from lineswarm.seeding import DrawPool, child_seed
 from lineswarm.rw_analytics import (
     WalkParams,
     min_fractional_distance,
-    reflected_chain_mean,
     stationary_pi,
 )
 from lineswarm.sim1d import (
     BILATERAL,
     UNILATERAL_LEFT,
     UNILATERAL_RIGHT,
-    metrics,
     new_swarm,
     run_unilateral_sweep,
     run_until_gathered,
@@ -34,6 +32,8 @@ from lineswarm.sim1d import (
     simulate_two_barrier_hits,
     simulate_walk_first_passage,
 )
+
+from oracles import fractional_parts, metrics, reflected_chain_mean_series, take
 
 # positions on the 2**-20 lattice below 2**20 keep every +-1 jump exactly
 # representable, so bit-level conservation claims are provable on them
@@ -192,10 +192,10 @@ class TestStepSemantics:
     @settings(max_examples=60, deadline=None)
     def test_fractional_parts_conserved(self, positions, eps, seed, mode):
         s = new_swarm(positions, eps, seed, mode=mode)
-        fracs0 = s.fractional_parts()
+        fracs0 = fractional_parts(s)
         for _ in range(50):
             s.advance(1)
-            assert s.fractional_parts() == fracs0
+            assert fractional_parts(s) == fracs0
 
     @given(lattice_positions, epsilons_st, st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -329,7 +329,7 @@ class TestGathering:
         # duplicate positions (and fractional parts) still gather; the
         # one-mover-per-cluster rule keeps every tick well defined
         s = new_swarm([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99)
-        assert len(set(s.fractional_parts())) < s.n_agents
+        assert len(set(fractional_parts(s))) < s.n_agents
         res = run_until_gathered(s, 1_000_000)
         assert res.reached
         assert res.final_state.core_span <= 1.0
@@ -447,7 +447,7 @@ class TestDeterminism:
     @settings(max_examples=60, deadline=None)
     def test_draw_pool_blocks_match_one_call(self, seed, n):
         pool = DrawPool(np.random.Generator(np.random.PCG64(seed)))
-        drawn = [pool.draw() for _ in range(n)]
+        drawn = take(pool, n)
         assert drawn == np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
 
     @given(st.integers(0, 2**32), st.sampled_from(BIT_GENERATORS),
@@ -459,13 +459,13 @@ class TestDeterminism:
     @example(0, np.random.Philox, [("ahead", 50, 0.5), ("ahead", 10, 0.0), ("loop", 9000, 0.0)])
     @settings(max_examples=100, deadline=None)
     def test_draws_read_ahead_match_draw(self, seed, bits, reads):
-        # any interleaving of the pool's three readers hands out the draws
-        # of one `random` call, in order; `ahead` returns at least the draws
-        # asked for and at most one block more
+        # any interleaving of the pool's two readers and the one-at-a-time
+        # `take` hands out the draws of one `random` call, in order; `ahead`
+        # returns at least the draws asked for and at most one block more
         pool, got = DrawPool(np.random.Generator(bits(seed))), []
         for how, count, frac in reads:
             if how == "draw":
-                got += [pool.draw() for _ in range(count)]
+                got += take(pool, count)
             elif how == "loop":  # as `SwarmState1D.advance` reads the pool
                 draws, i = pool.block, pool.i
                 for _ in range(count):
@@ -498,7 +498,7 @@ class ExactSwarm:
 
     `SwarmState1D` must match it bit for bit: its positions and spans are
     the correctly rounded doubles of these, and its centroid is the exact
-    sum rounded once, over N.  One `DrawPool.draw` call per draw and one
+    sum rounded once, over N.  One `take` of one draw per draw and one
     method call per tick, so the draws of `advance` are checked too.
     """
 
@@ -506,7 +506,7 @@ class ExactSwarm:
         self.pos = sorted(Fraction(x) for x in positions)
         self.keep = 1.0 - eps
         self.mode = mode
-        self.draw = DrawPool(np.random.Generator(np.random.PCG64(seed))).draw
+        self.pool = DrawPool(np.random.Generator(np.random.PCG64(seed)))
         self.t = 0
         self.gathered = len(self.pos) < 4 or self.pos[-2] - self.pos[1] <= 1
         self.checks = 0
@@ -522,9 +522,9 @@ class ExactSwarm:
         lo, hi = pos[0], pos[-1]
         d_left = d_right = 0
         if self.mode != UNILATERAL_RIGHT:
-            d_left = 1 if self.draw() < self.keep else -1
+            d_left = 1 if take(self.pool, 1)[0] < self.keep else -1
         if self.mode != UNILATERAL_LEFT:
-            d_right = -1 if self.draw() < self.keep else 1
+            d_right = -1 if take(self.pool, 1)[0] < self.keep else 1
             del pos[-1]
         if d_left:
             del pos[0]
@@ -603,7 +603,7 @@ class TestAdvance:
             lambda: ref.run(ticks, until_gathered))
         assert observed(s) == ref.observed()
         assert_layout(s)
-        assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
+        assert take(s._pool, 10) == take(ref.pool, 10)
 
     def test_advance_matches_reference_ticks_in_small_blocks(self):
         # at the minimum block size, N = 7 and 8 span two blocks
@@ -719,7 +719,7 @@ class TestExactReference:
             assert s.advance(ticks, until_gathered) == ref.run(ticks, until_gathered)
             assert observed(s) == ref.observed()
             assert_layout(s)
-        assert [s._pool.draw() for _ in range(10)] == [ref.draw() for _ in range(10)]
+        assert take(s._pool, 10) == take(ref.pool, 10)
 
     def test_matches_exact_engine_in_small_blocks(self):
         # at the minimum block size, N = 7..12 spans two to four blocks: keys
@@ -765,7 +765,7 @@ def jump_outcome(s):
     assert_layout(s)
     # the draws that come next, over more than two whole blocks
     return (list(chain.from_iterable(s._blocks)), s.t, s.gathered, s.turn_backs,
-            s.invariant_checks, [s._pool.draw() for _ in range(9000)])
+            s.invariant_checks, take(s._pool, 9000))
 
 
 # starts for the gathering jump, N = 4..40
@@ -872,7 +872,7 @@ class TestGatheringJump:
         assert jumped.t == 56
         assert jumped.invariant_checks == jumped.t - 1
         assert (jumped.positions, jumped.turn_backs) == (stepped.positions, stepped.turn_backs)
-        assert [jumped._pool.draw() for _ in range(8)] == [stepped._pool.draw() for _ in range(8)]
+        assert take(jumped._pool, 8) == take(stepped._pool, 8)
 
 
 def spans_by_advance(state, samples, stride):
@@ -1156,7 +1156,7 @@ class TestWalkSimulators:
         # batch means absorb the chain's autocorrelation in the error bar
         p = WalkParams(0.3)
         occ = simulate_reflected_chain(p, 31, 10_000, 400_000)
-        expect = reflected_chain_mean(p)
+        expect = reflected_chain_mean_series(p)
         assert abs(occ.mean() - expect) <= 3 * occ.mean_stderr()
 
     def test_reflected_chain_batch_means_consistent(self):

@@ -11,7 +11,6 @@ from lineswarm.errors import DegenerateConfigurationError, ValidationError
 from lineswarm.sim2d import (
     Trajectory2DRow,
     _monotone_chain,
-    bisector_direction,
     convex_hull,
     hull_diameter,
     new_swarm2d,
@@ -19,6 +18,8 @@ from lineswarm.sim2d import (
     run2d,
     step2d,
 )
+
+from oracles import bisector_direction
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
