@@ -27,7 +27,10 @@ positions.
 Everything here is a pure function of its arguments.  `finite_chain_oracle`
 is deliberately implemented as a banded linear solve rather than through
 any of the closed forms above, so tests can use it as an independent
-cross-check.
+cross-check.  The solve is a tridiagonal elimination without row
+exchanges in plain floats, in the operation order of LAPACK's ``?gtsv``;
+no exchange is ever due, as its docstring shows, so the package needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DegenerateConfigurationError, ValidationError
 
@@ -161,15 +163,21 @@ def farthest_excursion_bound(p: WalkParams) -> float:
     return p.epsilon / (1.0 - 2.0 * p.epsilon)
 
 
+# past this n * ln(1/r), r**n lies below 2^-1075, half the smallest subnormal
+_UNDERFLOW_LOG = 1075 * math.log(2.0) + 1.0
+
+
 def _ratio_power(p: WalkParams, n: int) -> float:
     # Repeated multiplication keeps the k -> k+1 step a single multiply by a
     # factor < 1, so tails stay monotone; a log/exp round trip would not.
     r = p.ratio
+    if r > 0.0 and n * -math.log(r) > _UNDERFLOW_LOG:
+        return 0.0  # r**n rounds to 0.0: no need to run n factors
     acc = 1.0
     for _ in range(n):
         nxt = acc * r
-        if nxt == acc:  # 0.0 or stuck at a subnormal: every later product is acc too
-            break
+        if nxt == acc:  # 0.0, or a subnormal that every later factor keeps: end at 0.0
+            return 0.0
         acc = nxt
     return acc
 
@@ -358,6 +366,15 @@ def finite_chain_oracle(
     check each other.  As the right barrier grows, the left-absorption
     probability from 0 tends to 1 and the expected time to
     ``1/(1 - 2 eps)``.
+
+    The solve is Gaussian elimination without row exchanges, factored
+    once for the three right-hand sides, with the operations of LAPACK's
+    ``?gtsv`` in its order, so it gives that routine's bits.  ``?gtsv``
+    exchanges rows only where a pivot is smaller in magnitude than the
+    subdiagonal ``1 - eps``, which never happens: the first pivot is 1,
+    and from a pivot ``d >= 1 - eps`` the factor ``(1 - eps)/d`` is at
+    most 1, so the next pivot ``1 - factor * eps`` rounds to at least
+    ``1 - eps``.  The pivots fall from 1 toward ``1 - eps``.
     """
     if not left_target < 0 < right_barrier:
         raise ValidationError(
@@ -369,25 +386,26 @@ def finite_chain_oracle(
 
     m = span - 1  # interior states
     eps = p.epsilon
-    # rows: u_s - eps*u_{s+1} - (1-eps)*u_{s-1} = rhs for interior s
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -eps  # superdiagonal
-    ab[1, :] = 1.0
-    ab[2, :-1] = -(1.0 - eps)  # subdiagonal
+    # rows: u_s + sup*u_{s+1} + sub*u_{s-1} = rhs for interior s
+    sub, sup = -(1.0 - eps), -eps
+    factors, pivots = [], [1.0]
+    for _ in range(m - 1):
+        factors.append(sub / pivots[-1])
+        pivots.append(1.0 - factors[-1] * sup)
 
-    rhs_left = np.zeros(m)
-    rhs_left[0] = 1.0 - eps  # neighbour below the first interior state absorbs left
-    rhs_right = np.zeros(m)
-    rhs_right[-1] = eps
-    rhs_time = np.ones(m)
+    def solve(rhs: list[float]) -> list[float]:
+        for s, factor in enumerate(factors):
+            rhs[s + 1] -= factor * rhs[s]
+        rhs[-1] /= pivots[-1]
+        for s in range(m - 2, -1, -1):
+            rhs[s] = (rhs[s] - sup * rhs[s + 1]) / pivots[s]
+        return rhs
 
-    p_left_int = solve_banded((1, 1), ab, rhs_left)
-    p_right_int = solve_banded((1, 1), ab, rhs_right)
-    steps_int = solve_banded((1, 1), ab, rhs_time)
-
-    p_left = np.concatenate(([1.0], p_left_int, [0.0]))
-    p_right = np.concatenate(([0.0], p_right_int, [1.0]))
-    steps = np.concatenate(([0.0], steps_int, [0.0]))
+    zeros = [0.0] * (m - 1)
+    # the neighbour below the first interior state absorbs left
+    p_left = np.array([1.0, *solve([1.0 - eps, *zeros]), 0.0])
+    p_right = np.array([0.0, *solve([*zeros, eps]), 1.0])
+    steps = np.array([0.0, *solve([1.0] * m), 0.0])
     return AbsorbingChainSolution(left_target, right_barrier, p_left, p_right, steps)
 
 

@@ -2,15 +2,16 @@
 
 Each one is a small direct computation, kept apart from the package so
 that the package holds only what the CLI, the experiments or the
-benchmark run: series sums to check closed forms against, a half-shrink
-bound, the fractional parts and the variance of a 1D swarm, the
-bisector at one planar hull vertex, and a one-draw-at-a-time reader of
-a `DrawPool`.
+benchmark run: series sums to check closed forms against, the absorbing
+chain in exact rational arithmetic, a half-shrink bound, the fractional
+parts and the variance of a 1D swarm, the bisector at one planar hull
+vertex, and a one-draw-at-a-time reader of a `DrawPool`.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
@@ -26,6 +27,7 @@ from lineswarm.sim2d import HullInfo
 
 __all__ = [
     "Metrics",
+    "absorbing_chain_exact",
     "bisector_direction",
     "fractional_parts",
     "half_shrink_bound",
@@ -107,6 +109,39 @@ def reflected_chain_mean_series(p: WalkParams, tail_tol: float = 1e-15) -> float
         if (k + 1) * power / (1.0 - r) < tail_tol:
             return total
         k += 1
+
+
+def absorbing_chain_exact(
+    eps: float, right_barrier: int, left_target: int
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """``(p_left, p_right, expected_steps)`` of the absorbing walk, exactly.
+
+    The chain of `rw_analytics.finite_chain_oracle` on ``{left_target, ...,
+    right_barrier}``, for the double ``eps`` taken as an exact rational: the
+    first-step equations of the interior states, solved by elimination in
+    `Fraction` arithmetic, so no step rounds.
+    """
+    e = Fraction(eps)
+    m = right_barrier - left_target - 1  # interior states
+
+    def solve(rhs: list[Fraction]) -> list[Fraction]:
+        # rows: u_s - e u_{s+1} - (1 - e) u_{s-1} = rhs_s
+        pivots = [Fraction(1)]
+        for s in range(1, m):
+            factor = (1 - e) / pivots[-1]
+            pivots.append(1 - factor * e)
+            rhs[s] += factor * rhs[s - 1]
+        rhs[-1] /= pivots[-1]
+        for s in range(m - 2, -1, -1):
+            rhs[s] = (rhs[s] + e * rhs[s + 1]) / pivots[s]
+        return rhs
+
+    zeros = [Fraction(0)] * (m - 1)
+    return (
+        [Fraction(1), *solve([1 - e, *zeros]), Fraction(0)],
+        [Fraction(0), *solve([*zeros, e]), Fraction(1)],
+        [Fraction(0), *solve([Fraction(1)] * m), Fraction(0)],
+    )
 
 
 # -- the 1D swarm ------------------------------------------------------------

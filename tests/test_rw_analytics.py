@@ -32,6 +32,7 @@ from lineswarm.rw_analytics import (
 )
 
 from oracles import (
+    absorbing_chain_exact,
     half_shrink_bound,
     hit_prob_series_partial_sums,
     reflected_chain_mean_series,
@@ -174,6 +175,17 @@ class TestStationaryDistribution:
         p = WalkParams(eps)
         vals = [tail_prob_sum(p, k) for k in range(2, 60)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("eps", [0.34, 0.4, 0.45])
+    def test_tails_never_rise_in_k(self, eps):
+        # above eps = 1/3 the power of the ratio reaches subnormals that one more
+        # factor rounds back to themselves; the power must end at 0.0 there, or
+        # tail_prob_sum's growing linear factor makes the tail rise again
+        p = WalkParams(eps)
+        for tail, k0 in [(stationary_pi, 1), (tail_prob_single, 1), (tail_prob_sum, 2)]:
+            vals = [tail(p, k) for k in range(k0, 8001)]
+            assert all(b <= a for a, b in zip(vals, vals[1:])), tail.__name__
+            assert vals[-1] == 0.0
 
     def test_tail_sum_is_two_fold_convolution_tail(self):
         # independent oracle: P(X+Y >= k) by direct convolution of pi
@@ -356,6 +368,43 @@ class TestFiniteChainOracle:
                 1 - lam ** (barrier - floor)
             )
             assert sol.at(0)[1] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25, 0.4])
+    def test_matches_exact_rational_elimination(self, eps):
+        # the elimination is backward stable, so its error is a few ulps of
+        # the largest entry; near eps = 1/2 the chain grows ill-conditioned,
+        # and the bitwise LAPACK comparison below covers that range instead
+        p = WalkParams(eps)
+        for span in range(2, 40):  # 3 to 40 states
+            for left in sorted({-1, -(span // 2)}):
+                sol = finite_chain_oracle(p, span + left, left)
+                got = (sol.p_left, sol.p_right, sol.expected_steps)
+                for values, exact in zip(got, absorbing_chain_exact(eps, span + left, left)):
+                    ulp = Fraction(math.ulp(float(max(exact))))
+                    worst = max(abs(Fraction(float(v)) - x) for v, x in zip(values, exact))
+                    assert worst <= 8 * ulp, (span, left)
+
+    def test_bitwise_equal_to_lapack_banded_solve(self):
+        # the elimination follows LAPACK's ?gtsv operation for operation, so it
+        # reproduces scipy's tridiagonal solve to the last bit
+        linalg = pytest.importorskip("scipy.linalg")
+        eps_grid = [0.0, 1e-12, 1e-6, 0.05, 0.1, 0.25, 1 / 3, 0.4, 0.45, 0.499, 0.4999999]
+        for eps in eps_grid:
+            for right, left in [(1, -1), (1, -10), (10, -1), (1, -50), (50, -1),
+                                (13, -29), (500, -500), (1, -9_999)]:
+                m = right - left - 1
+                band = np.zeros((3, m))
+                band[0, 1:] = -eps
+                band[1, :] = 1.0
+                band[2, :-1] = -(1.0 - eps)
+                rhs = np.zeros((3, m))
+                rhs[0, 0] = 1.0 - eps
+                rhs[1, -1] = eps
+                rhs[2, :] = 1.0
+                sol = finite_chain_oracle(WalkParams(eps), right, left)
+                for values, b in zip((sol.p_left, sol.p_right, sol.expected_steps), rhs):
+                    expect = linalg.solve_banded((1, 1), band, b)
+                    assert values[1:-1].tobytes() == expect.tobytes(), (eps, right, left)
 
     def test_domain_errors(self):
         p = WalkParams(0.1)
