@@ -200,6 +200,7 @@ def _cmd_sim1d(args) -> int:
     state = new_swarm(
         positions, args.epsilon, child_seed(args.seed, "cli-sim1d-dyn", 0), mode=args.mode
     )
+    del positions  # N floats, which the state no longer needs
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -70,9 +70,8 @@ Two theorem-backed invariants are checked on every tick and raise
 after construction and after every tick in every mode; in the
 unilateral modes it can fall back to False.
 
-Without a trajectory sink, `run_until_gathered` jumps a bilateral swarm
-to its gathering tick T in numpy, since until T the two ends never move
-the same agent.  Take the left end's draws as +1 (inward) and -1 (turn
+`run_until_gathered` jumps a bilateral swarm to its gathering tick T in
+numpy, since until T the two ends never move the same agent.  Take the left end's draws as +1 (inward) and -1 (turn
 back), their running sum ``X_t``, the phase ``P_t = max(0, max_{u<=t}
 X_u)`` and the depth ``D_t = P_t - X_t``: a walk reflected at its
 running maximum.  After t ticks the left side is ``C_P``, the keys after
@@ -88,8 +87,10 @@ unit below its ``x_{N-1}``, so strictly above ``x_2``: neither end sees
 the other's agents.  At T both
 moves read the state before the tick, so the state at T is the two
 ends' moves together.  The jump checks the core-edge invariant on every
-tick, as arrays, and builds the blocks once, at T.  Its memory is
-O(N + T).
+tick, as arrays, and builds the blocks once, at T.  The same arrays give
+the trajectory rows before T: ``x_2`` and ``x_{N-1}``, each extreme as its
+end's closure entry P less D units, and the centroid from the turn-backs,
+``(t - X_t)/2`` at each end.  Its memory is O(N + T).
 
 After gathering, `sample_total_spans` runs a bilateral swarm of one
 block by table lookups.  The dynamics commute with adding one integer to
@@ -160,7 +161,7 @@ _WALK_STEP_CAP = 1_000_000_000
 _BLOCK = 512
 # draws in the first numpy pass of the gathering jump, and the most in one
 _JUMP_DRAWS = 2048
-_JUMP_CAP = 65536
+_JUMP_CAP = 32768
 # draws in one pass of `sample_total_spans`: its arrays add to the
 # process's peak memory
 _TABLE_DRAWS = 16384
@@ -520,20 +521,18 @@ class _InwardEnd:
     popped keys are the closure ``{key + j*N}`` in sorted order: first the
     ``lone`` levels below the second agent's cell, where only ``keys[0]``
     moves and ``x_2`` stays ``keys[1]``, then, from that cell on, each
-    level's keys in rank order; ``who`` lists those later entries' agents
-    (indices into ``keys``).  There every level holds two agents or more,
-    and between an agent's entries at two levels lies an entry of each
-    other agent; so the next entry is always another agent's, and ``x_2``
-    at entry q is entry q+1.
+    level's keys in rank order.  There every level holds two agents or
+    more, and between an agent's entries at two levels lies an entry of
+    each other agent; so the next entry is always another agent's, and
+    ``x_2`` at entry q is entry q+1.
     """
 
-    __slots__ = ("n", "keys", "cells", "ranks", "lone", "who", "second")
+    __slots__ = ("n", "keys", "lone", "second")
 
     def __init__(self, keys: np.ndarray, n: int) -> None:
-        cells = keys // n
-        self.n, self.keys, self.cells, self.ranks = n, keys, cells, keys - cells * n
-        self.lone = int(cells[1] - cells[0])
-        self.who = self.second = np.empty(0, np.int64)
+        self.n, self.keys = n, keys
+        self.lone = int(keys[1] // n - keys[0] // n)
+        self.second = np.empty(0, np.int64)
 
     def seconds(self, phase: np.ndarray) -> np.ndarray:
         need = int(phase[-1]) + 1  # phases never fall
@@ -541,39 +540,116 @@ class _InwardEnd:
             self._grow(max(need, 2 * self.second.size))
         return self.second[phase]
 
+    def entries(self, phase: np.ndarray) -> np.ndarray:
+        """The closure's entry at each listed ``phase``: the end agent's key
+        at depth 0.  Up to ``lone`` it is ``keys[0]`` moved ``phase`` units,
+        or ``keys[1]`` where that passes it; after, the x_2 of one phase
+        before."""
+        got = np.minimum(self.keys[0] + phase * self.n, self.keys[1])
+        later = phase > self.lone
+        got[later] = self.second[phase[later] - 1]
+        return got
+
     def _grow(self, size: int) -> None:
         """List entries anew until ``second`` covers ``size`` phases."""
-        n, lone = self.n, self.lone
+        n, keys, lone = self.n, self.keys, self.lone
+        self.second = None  # the old listing goes before the new one is built
         if size <= lone:
-            self.second = np.full(size, self.keys[1])
+            self.second = np.full(size, keys[1])
             return
         want = size - lone + 1
-        # agent a lists levels start[a] up to top - 1; the first m agents,
-        # listed up to the next one's start, give m*start[m] - sum(start[:m])
-        start = np.maximum(self.cells, self.cells[1])
-        total = np.cumsum(start)
-        reach = np.arange(1, n + 1) * np.append(start[1:], start[-1] + want) - total
-        m = int(np.searchsorted(reach, want)) + 1
+        # agent a lists levels start[a] = max(cell[a], cell[1]) up to top - 1.
+        # The first m agents, listed up to the next one's start, give
+        # m*start[m] - sum(start[:m]) entries, which never falls as m grows.
+        # N can be 10^5, so the starts are summed in place, and each start
+        # is read back as a difference of two sums
+        total = keys // n
+        np.maximum(total, total[1], out=total)
+        np.cumsum(total, out=total)
+        m = bisect_left(
+            range(1, n), want, key=lambda m: m * int(total[m]) - (m + 1) * int(total[m - 1])
+        ) + 1
         top = -(-(want + int(total[m - 1])) // m)
-        counts = top - start[:m]
-        who = np.repeat(np.arange(m), counts)
-        first = np.cumsum(counts) - counts  # each agent's first entry
-        level = np.arange(who.size) + np.repeat(start[:m] - first, counts)
-        vals = level * n + self.ranks[who]
-        order = np.argsort(vals, kind="stable")  # ties: equal keys, in agent order
-        self.who = who[order]
-        self.second = np.concatenate((np.full(lone, self.keys[1]), vals[order[1:]]))
+        del total
+        counts = keys[:m] // n
+        np.subtract(top, counts, out=counts)
+        counts[0] -= lone
+        # agent a's entries are keys[a] + j*N from level start[a] on, and
+        # agent 0 starts ``lone`` levels above its own
+        base = np.cumsum(counts)
+        base -= counts
+        base *= -n
+        base += keys[:m]
+        base[0] += lone * n
+        vals = np.repeat(base, counts)
+        del base, counts
+        vals += np.arange(0, vals.size * n, n)
+        vals.sort()
+        self.second = np.concatenate((np.full(lone, keys[1]), vals[1:]))
 
     def moves(self, phase: int, depth: int) -> np.ndarray:
-        """Each agent's inward units after ``phase`` inward moves at ``depth``."""
-        lone = self.lone
-        units = np.bincount(self.who[: max(phase - lone, 0)], minlength=self.n)
-        units[0] += min(phase, lone)
-        units[0 if phase < lone else self.who[phase - lone]] -= depth
+        """Each agent's inward units after ``phase`` inward moves at ``depth``.
+
+        Entry ``phase`` of the closure, ``v``, is the next to pop: each
+        agent has popped its entries below ``v``, and the agents with an
+        entry at ``v`` (equal keys) popped it as far as ``phase`` reaches,
+        taken in agent order; the next of them is the end agent, out at
+        ``depth``."""
+        n, keys = self.n, self.keys
+        v = int(self.entries(np.array([phase]))[0])
+        units = np.subtract(v + n - 1, keys)
+        np.maximum(units, 0, out=units)
+        units //= n
+        # the agents at v: keys up to v that lie whole units below it
+        tied = np.subtract(v, keys[: np.searchsorted(keys, v, "right")])
+        tied %= n
+        tied = np.flatnonzero(tied == 0)
+        popped = phase - int(units.sum())
+        units[tied[:popped]] += 1
+        units[tied[popped]] -= depth
         return units
 
 
-def _jump_to_gathering(state: SwarmState1D, max_steps: int) -> None:
+def _jump_rows(state, ends, x, p, low, high, t, ticks, stride, sink) -> None:
+    """Emit the rows at stride multiples among a jump pass's first ``ticks``
+    ticks, from its arrays: column j of ``x``, ``p``, ``low`` and ``high``
+    is the state ``t + j`` ticks into the jump, as `_jump_to_gathering`
+    holds it.  Each double is the ``table[rank] + cell`` of `_at`."""
+    t += state.t
+    at = np.arange(stride - t % stride, ticks + 1, stride)
+    if not at.size:
+        return
+    n, cell0 = state._n, state._cell0
+    fractions = np.frombuffer(state._table)
+
+    def double(keys):
+        return fractions[keys % n] + (keys // n + cell0)
+
+    (walk_left, walk_right), (phase_left, phase_right) = x[:, at], p[:, at]
+    lo = ends[0].entries(phase_left) - (phase_left - walk_left) * n
+    hi = (phase_right - walk_right) * n - ends[1].entries(phase_right)
+    x_min, x_max = double(lo), double(hi)
+    core = double(-high[at]) - double(low[at])
+    # centroid moves: 2*(right - left) turn-backs, each end's being (t - X)/2
+    left, right, _ = state._backs
+    moves = walk_left - walk_right + 2 * (right - left)
+    total = state._sum
+    for tick, move, core_span, x1, xn in zip(
+        range(t + int(at[0]), t + ticks + 1, stride),
+        moves.tolist(),
+        core.tolist(),
+        x_min.tolist(),
+        x_max.tolist(),
+    ):
+        sink(TrajectoryRow(tick, math.fsum(total + (move,)) / n, core_span, xn - x1, x1, xn))
+
+
+def _jump_to_gathering(
+    state: SwarmState1D,
+    max_steps: int,
+    sink: Callable[[TrajectoryRow], None] | None = None,
+    stride: int = 1,
+) -> None:
     """Run a bilateral swarm's ticks up to gathering or ``max_steps`` in numpy.
 
     Leaves the state, the pool and every tally as `SwarmState1D.advance`
@@ -583,54 +659,70 @@ def _jump_to_gathering(state: SwarmState1D, max_steps: int) -> None:
     built once, at the last tick run: the tick that gathers, that moves a
     core edge outward (raised, as `advance` raises), or ``max_steps``.  If
     that tick leaves the swarm apart, the caller goes on with `advance`.
+    With a ``sink``, each pass emits its rows at stride multiples, but not
+    the last tick's, which the caller emits; a sink that raises leaves the
+    state built at the end of that pass.
     """
     n, pool = state._n, state._pool
     keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)
+    state._blocks = []  # N Python ints: the passes need only ``keys``
     ends = _InwardEnd(keys, n), _InwardEnd(-keys[::-1], n)  # right end: negated keys
     keep = 1.0 - state.params.epsilon
     walk = np.zeros(2, np.int64)  # X of the left and right end before the next tick
     phase = np.zeros(2, np.int64)
     t = both = 0
     want = _JUMP_DRAWS
-    while t < max_steps:
-        src = pool.ahead(min(want, 2 * (max_steps - t)))
-        want = min(2 * want, _JUMP_CAP)
-        ticks = min(src.size // 2, max_steps - t)
-        back = src[: 2 * ticks].reshape(ticks, 2).T >= keep  # rows: left, right
-        steps = np.empty((2, ticks + 1), np.int64)
-        steps[:, 0] = walk
-        np.subtract(1, 2 * back, out=steps[:, 1:])
-        x = np.cumsum(steps, axis=1)
-        p = np.maximum.accumulate(x, axis=1)
-        np.maximum(p, phase[:, None], out=p)
-        # x_2 and -x_{N-1} before the pass, then after each tick
-        low, high = ends[0].seconds(p[0]), ends[1].seconds(p[1])
-        stop = np.flatnonzero(
-            (low[1:] + high[1:] >= -n) | (low[1:] < low[:-1]) | (high[1:] < high[:-1])
+    try:
+        while t < max_steps:
+            src = pool.ahead(min(want, 2 * (max_steps - t)))
+            want = min(2 * want, _JUMP_CAP)
+            ticks = min(src.size // 2, max_steps - t)
+            back = src[: 2 * ticks].reshape(ticks, 2).T >= keep  # rows: left, right
+            x = np.empty((2, ticks + 1), np.int64)
+            x[:, 0] = walk
+            np.subtract(1, 2 * back, out=x[:, 1:])
+            np.cumsum(x, axis=1, out=x)
+            p = np.maximum.accumulate(x, axis=1)
+            np.maximum(p, phase[:, None], out=p)
+            # x_2 and -x_{N-1} before the pass, then after each tick
+            low, high = ends[0].seconds(p[0]), ends[1].seconds(p[1])
+            stop = np.flatnonzero(
+                (low[1:] + high[1:] >= -n) | (low[1:] < low[:-1]) | (high[1:] < high[:-1])
+            )
+            ran = int(stop[0]) + 1 if stop.size else ticks
+            pool.consume(2 * ran)
+            both += int(np.count_nonzero(back[0, :ran] & back[1, :ran]))
+            x2, xp = int(low[ran - 1]), -int(high[ran - 1])  # before the last tick
+            t += ran
+            # copies, so that this pass's arrays go with it
+            walk, phase = x[:, ran].copy(), p[:, ran].copy()
+            if sink is not None:
+                final = stop.size or t == max_steps
+                _jump_rows(state, ends, x, p, low, high, t - ran, ran - 1 if final else ran,
+                           stride, sink)
+            del x, p, low, high
+            if stop.size:
+                break
+    finally:
+        left, right = (end.moves(int(ph), int(ph - x)) for end, ph, x in zip(ends, phase, walk))
+        left -= right[::-1]
+        del right
+        left *= n
+        keys += left
+        del left
+        keys.sort()
+        state._blocks = blocks = [block.tolist() for block in _cut(keys)]
+        state._tops = [block[-1] for block in blocks[1:-1]]
+        state.t += t
+        # each end's X counts inward ticks less turn-backs
+        left_backs, right_backs, both_backs = state._backs
+        state._backs = (
+            left_backs + (t - int(walk[0])) // 2,
+            right_backs + (t - int(walk[1])) // 2,
+            both_backs + both,
         )
-        ran = int(stop[0]) + 1 if stop.size else ticks
-        pool.consume(2 * ran)
-        both += int(np.count_nonzero(back[0, :ran] & back[1, :ran]))
-        t += ran
-        walk, phase = x[:, ran], p[:, ran]
-        if stop.size:
-            break
-    x2, xp = int(low[ran - 1]), -int(high[ran - 1])  # before the last tick
-
-    left, right = (end.moves(int(ph), int(ph - x)) for end, ph, x in zip(ends, phase, walk))
-    keys += (left - right[::-1]) * n
-    keys.sort()
-    state._blocks = blocks = [block.tolist() for block in _cut(keys)]
-    state._tops = [block[-1] for block in blocks[1:-1]]
-    state.t += t
-    # each end's X counts inward ticks less turn-backs
-    left_backs, right_backs, both_backs = state._backs
-    state._backs = (
-        left_backs + (t - int(walk[0])) // 2,
-        right_backs + (t - int(walk[1])) // 2,
-        both_backs + both,
-    )
-    x2_after, xp_after = blocks[0][1], blocks[-1][-2]
+        x2_after, xp_after = blocks[0][1], blocks[-1][-2]
+        state.gathered = xp_after - x2_after <= n
     if x2_after < x2 or xp_after > xp:
         state._failed += 1
         at = state._at
@@ -639,7 +731,6 @@ def _jump_to_gathering(state: SwarmState1D, max_steps: int) -> None:
             f"x2 {at(x2)} -> {at(x2_after)}, "
             f"x_(N-1) {at(xp)} -> {at(xp_after)}"
         )
-    state.gathered = xp_after - x2_after <= n
 
 
 def run_until_gathered(
@@ -651,27 +742,30 @@ def run_until_gathered(
     """Step until ``state.gathered``, or ``max_steps`` ticks pass.
 
     For ``N <= 3`` the core span is 0 by definition and T = 0.  When a
-    ``sink`` is given, a trajectory row is emitted at entry and every
-    ``stride`` ticks thereafter (plus the final tick), by `advance` calls
-    of at most ``stride`` ticks.  Without a sink, a bilateral swarm that
-    is not gathered jumps to its gathering tick in numpy (the two ends as
-    reflected walks, see the module docstring); the unilateral modes, and
-    any tick after a jump that stopped short of gathering, use `advance`.
-    Both paths leave the identical state, pool and tallies.
+    ``sink`` is given, a trajectory row is emitted at entry and at every
+    tick that is a multiple of ``stride`` (plus the final tick).  A
+    bilateral swarm that is not gathered jumps to its gathering tick in
+    numpy (the two ends as reflected walks, see the module docstring),
+    taking its rows from the jump's arrays; the unilateral modes, and any
+    tick after a jump that stopped short of gathering, use `advance`
+    calls of at most ``stride`` ticks.  Every path leaves the identical
+    state, pool and tallies, and emits the identical rows.
     """
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    if sink is None:
-        t0 = state.t
-        if state.mode == BILATERAL and not state.gathered and max_steps:
-            _jump_to_gathering(state, max_steps)
-        state.advance(max_steps - (state.t - t0), until_gathered=True)
-    else:
+    if sink is not None:
         _emit(state, sink)
-        t0 = state.t
-        end = t0 + max_steps
+    t0 = state.t
+    end = t0 + max_steps
+    if state.mode == BILATERAL and not state.gathered and max_steps:
+        _jump_to_gathering(state, max_steps, sink, stride)
+        if sink is not None and state.t % stride == 0:
+            _emit(state, sink)
+    if sink is None:
+        state.advance(end - state.t, until_gathered=True)
+    else:
         while state.t < end and not state.gathered:
             state.advance(min(end - state.t, stride - state.t % stride), until_gathered=True)
             if state.t % stride == 0:

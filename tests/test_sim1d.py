@@ -637,26 +637,70 @@ class TestAdvance:
             s.advance(-5)
         assert (s.t, s.positions, s._pool.i) == (0, tuple(positions), 0)
 
-    @given(spread_positions, st.integers(0, 2**32), st.integers(0, 400),
-           st.integers(1, 40))
+    @staticmethod  # no instance, so the runs below can call it too
+    @given(spread_positions, st.sampled_from([0.0, 0.1, 0.2, 0.45]), st.integers(0, 2**32),
+           st.integers(0, 60), st.integers(0, 3000), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
-    def test_gathering_rows_match_tick_loop(self, positions, seed, max_steps, stride):
-        # the stride chunks of run_until_gathered emit the rows of a per-tick loop
+    def test_gathering_rows_match_tick_loop(positions, eps, seed, pre, max_steps, stride):
+        # the jump's arrays and the stride chunks of run_until_gathered emit
+        # the rows of a per-tick loop
+        jumped, s = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
+        jumped.advance(pre)  # the pool mid-block
+        s.advance(pre)
         rows = []
-        res = run_until_gathered(new_swarm(positions, 0.2, seed), max_steps,
-                                 sink=rows.append, stride=stride)
-        s = new_swarm(positions, 0.2, seed)
-        want = [metrics_row(s)]
-        for _ in range(max_steps):
-            if s.gathered:
-                break
-            s.advance(1)
-            if s.t % stride == 0:
-                want.append(metrics_row(s))
-        if s.t and s.t % stride:
-            want.append(metrics_row(s))
-        assert rows == want
+        res = run_until_gathered(jumped, max_steps, sink=rows.append, stride=stride)
+        assert rows == tick_loop_rows(s, max_steps, stride)
         assert (res.T, res.reached) == (s.t, s.gathered)
+        assert jump_outcome(jumped) == jump_outcome(s)
+
+    def test_gathering_rows_match_tick_loop_in_small_blocks(self):
+        # at the minimum block size, N >= 7 spans several blocks
+        with block_size(3):
+            self.test_gathering_rows_match_tick_loop()
+
+    def test_gathering_rows_match_tick_loop_in_short_passes(self):
+        # jump passes of 1 to 4 ticks, so that rows fall on pass boundaries
+        with patched(_JUMP_DRAWS=2, _JUMP_CAP=8):
+            self.test_gathering_rows_match_tick_loop()
+
+    def test_gathering_rows_at_the_first_pass_boundary(self):
+        # from a fresh pool the first jump pass ends at t = 2040, so these
+        # runs stop just before, at and after that pass's last tick: its row
+        # comes from the arrays when a pass follows, and from the final state
+        # only, once, when the run stops there
+        start = dyadic_start(40, 100.0, 9)
+        for seed in range(10):
+            s = new_swarm(start, 0.45, seed)
+            every = [metrics_row(s)]  # the row after each tick
+            while s.t < 2046 and not s.gathered:
+                s.advance(1)
+                every.append(metrics_row(s))
+            for max_steps in range(2036, 2047):
+                done = every[: max_steps + 1]
+                for stride in (1, 2):
+                    rows = []
+                    res = run_until_gathered(new_swarm(start, 0.45, seed), max_steps,
+                                             sink=rows.append, stride=stride)
+                    want = done[::stride]
+                    if (len(done) - 1) % stride:
+                        want.append(done[-1])
+                    assert rows == want
+                    assert res.T == len(done) - 1
+
+
+def tick_loop_rows(s, max_steps, stride):
+    """The rows of `run_until_gathered` from ``s``, by ``advance(1)`` ticks."""
+    t0 = s.t
+    rows = [metrics_row(s)]
+    for _ in range(max_steps):
+        if s.gathered:
+            break
+        s.advance(1)
+        if s.t % stride == 0:
+            rows.append(metrics_row(s))
+    if s.t != t0 and s.t % stride:
+        rows.append(metrics_row(s))
+    return rows
 
 
 class TestTurnBacks:
@@ -850,6 +894,24 @@ class TestGatheringJump:
         stepped.advance(10**6, until_gathered=True)
         assert jump_outcome(jumped) == jump_outcome(stepped)
 
+    @given(jump_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 60),
+           st.floats(0.0, 1.5), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_sink_leaves_the_jump_outcome(self, positions, eps, seed, pre, frac, stride):
+        # rows taken from the jump's arrays change nothing else it leaves
+        timing = new_swarm(positions, eps, seed)
+        timing.advance(pre)
+        timing.advance(10**7, until_gathered=True)
+        max_steps = int(frac * (timing.t - pre))
+        plain, sunk = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
+        plain.advance(pre)  # the pool mid-block
+        sunk.advance(pre)
+        rows = []
+        res = run_until_gathered(sunk, max_steps, sink=rows.append, stride=stride)
+        assert (res.T, res.reached) == (run_until_gathered(plain, max_steps).T, plain.gathered)
+        assert jump_outcome(sunk) == jump_outcome(plain)
+        assert rows[-1] == metrics_row(sunk)
+
     def test_outward_core_edge_raises_at_its_tick(self, monkeypatch):
         # an x_2 reported one unit too high at phase 0 falls back on the left
         # end's first inward move: the jump raises there, with the state,
@@ -873,6 +935,48 @@ class TestGatheringJump:
         assert jumped.invariant_checks == jumped.t - 1
         assert (jumped.positions, jumped.turn_backs) == (stepped.positions, stepped.turn_backs)
         assert take(jumped._pool, 8) == take(stepped._pool, 8)
+
+    def test_outward_core_edge_raises_at_its_tick_with_a_sink(self, monkeypatch):
+        # the run above with a sink: the hook's x_2 is a unit high on every
+        # tick before t = 56, so at a stride of 56 the one row due after
+        # entry falls on the tick that raises, which emits none
+        seconds = sim1d._InwardEnd.seconds
+
+        def high_at_start(end, phase):
+            got = seconds(end, phase)
+            return got + end.n * ((phase == 0) & (end.keys[0] == lowest))
+
+        start = [0.0, 0.5, 9.0, 20.0, 30.25]
+        jumped, stepped = new_swarm(start, 0.45, 14), new_swarm(start, 0.45, 14)
+        jumped.advance(5)  # the pool mid-block
+        stepped.advance(5)
+        lowest = jumped._blocks[0][0]
+        monkeypatch.setattr(sim1d._InwardEnd, "seconds", high_at_start)
+        rows = []
+        with pytest.raises(InvariantViolationError, match="core edge moved outward at t=56:"):
+            run_until_gathered(jumped, 10**6, sink=rows.append, stride=56)
+        assert rows == [metrics_row(stepped)]
+        stepped.advance(51)
+        assert jumped.t == 56
+        assert jumped.invariant_checks == jumped.t - 1
+        assert (jumped.positions, jumped.turn_backs) == (stepped.positions, stepped.turn_backs)
+        assert take(jumped._pool, 8) == take(stepped._pool, 8)
+
+    def test_raising_sink_leaves_the_state_of_its_pass(self):
+        # the first pass runs 2040 ticks from a fresh pool; a sink that
+        # raises on its row at t = 1000 leaves the state built at t = 2040
+        start = dyadic_start(40, 100.0, 9)
+        jumped, stepped = new_swarm(start, 0.45, 0), new_swarm(start, 0.45, 0)
+
+        def sink(row):
+            if row.t:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_until_gathered(jumped, 10**6, sink=sink, stride=1000)
+        stepped.advance(2040)
+        assert not stepped.gathered
+        assert jump_outcome(jumped) == jump_outcome(stepped)
 
 
 def spans_by_advance(state, samples, stride):
