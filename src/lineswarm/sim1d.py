@@ -1136,10 +1136,10 @@ def simulate_reflected_chain(
     Draws come in blocks of 262,144.  Within a block, with ``S`` the
     running sum of the +-1 steps and ``k0`` the state carried in, the
     Lindley recursion gives every state at once:
-    ``k_t = 1 + S_t - min(1 - k0, min_{j<=t} S_j)``.  Visits and window
-    sums are then tallied with `np.bincount`; the window sums are integers
-    that float64 holds exactly below 2**53, so the result is exactly that
-    of stepping the chain one draw at a time.
+    ``k_t = 1 + S_t - min(1 - k0, min_{j<=t} S_j)``.  Visits are tallied
+    with `np.bincount` and window sums with `np.add.reduceat`, both in
+    int64, so the result is exactly that of stepping the chain one draw at
+    a time.
     """
     if burn_in < 0 or samples < 1:
         raise ValidationError("need burn_in >= 0 and samples >= 1")
@@ -1149,12 +1149,14 @@ def simulate_reflected_chain(
     eps = p.epsilon
     per_batch = samples // batches if samples >= 2 * batches else 0
     counts = np.zeros(1, dtype=np.int64)  # counts[k] = visits to state k
-    batch_sums = np.zeros(batches)
+    batch_sums = np.zeros(batches, dtype=np.int64)
     k = 1
     total = burn_in + samples
     block = 262_144
     for start in range(0, total, block):
-        walk = np.cumsum(np.where(rng.random(min(block, total - start)) < eps, 1, -1))
+        size = min(block, total - start)
+        # running sum of the +-1 steps: ups minus downs
+        walk = 2 * np.cumsum(rng.random(size) < eps) - np.arange(1, size + 1)
         states = 1 + walk - np.minimum(np.minimum.accumulate(walk), 1 - k)
         k = int(states[-1])
         skip = max(burn_in - start, 0)  # burn-in ticks at the head of this block
@@ -1163,11 +1165,14 @@ def simulate_reflected_chain(
         if visits.size > counts.size:
             counts = np.pad(counts, (0, visits.size - counts.size))
         counts[: visits.size] += visits
-        if per_batch:
-            index = np.arange(kept.size) + (start + skip - burn_in)
-            window = index < batches * per_batch
-            batch_sums += np.bincount(
-                index[window] // per_batch, weights=kept[window], minlength=batches
-            )
+        first = start + skip - burn_in  # sample index of kept[0]
+        # kept rows inside the windows; none when per_batch is 0
+        stop = min(kept.size, batches * per_batch - first)
+        if stop > 0:
+            # window edges at multiples of per_batch, the first clipped to kept[0]
+            window = first // per_batch
+            edges = np.arange(window * per_batch, first + stop, per_batch) - first
+            edges[0] = 0
+            batch_sums[window : window + edges.size] += np.add.reduceat(kept[:stop], edges)
     means = batch_sums / per_batch if per_batch else None
     return ChainOccupancy(samples, counts[1:], means)

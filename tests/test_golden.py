@@ -158,6 +158,53 @@ PLANAR_300_TRAJECTORY = (
     "5,15.176885235722938,15.659560427876926,35.351423787473067,18\n"
 )
 
+# 2000 points: the octagon leaves more than 64 of them at 77 of the 81 hull
+# builds, so the fine pass runs; the bytes were recorded without that pass
+PLANAR_2000_TRAJECTORY = (
+    "t,centroid_x,centroid_y,diameter,hull_count\n"
+    "0,15.208790014772774,15.070036105328636,40.966194002735108,21\n"
+    "1,15.207381627026784,15.069502229871402,41.891489586351675,23\n"
+    "2,15.207071674233601,15.068681710920801,40.647602717588718,15\n"
+    "3,15.205722091117956,15.067628851031492,40.289128470636982,24\n"
+    "4,15.204237761003897,15.066429665283582,39.066824309080062,20\n"
+    "5,15.202807170762391,15.066074333207565,38.647313870149503,28\n"
+    "6,15.202171607064285,15.066646276150971,38.934602260654167,23\n"
+    "7,15.203084182176726,15.062574324481364,40.154546885923438,21\n"
+    "8,15.201183532968676,15.061321407809606,38.174728129362528,25\n"
+    "9,15.198891298943767,15.062648822307835,38.96643501295096,18\n"
+    "10,15.197448119147792,15.06311886698421,38.66786055196404,22\n"
+    "11,15.197507650463091,15.064403698574919,38.543862386364609,22\n"
+    "12,15.195773520942485,15.063481677000437,37.281329301737159,28\n"
+    "13,15.195818006138545,15.062493617328402,38.702154930783806,19\n"
+    "14,15.195912894536143,15.060947838915457,36.974604489642665,30\n"
+    "15,15.199465307073353,15.061962426639699,38.660601614448161,22\n"
+    "16,15.203553933373307,15.064848580573083,36.67251861253559,44\n"
+    "17,15.204919304117608,15.063484747389985,38.193953416258736,14\n"
+    "18,15.204144563672395,15.064219415065816,36.423002310378578,37\n"
+    "19,15.204062812578629,15.063047802905425,37.244503876301046,25\n"
+    "20,15.199659535204404,15.060267628958364,36.205097224630272,33\n"
+    "21,15.20176354123865,15.060340879114111,36.983195932346945,30\n"
+    "22,15.206333708247131,15.061336292884207,35.841520636408504,32\n"
+    "23,15.208292701703927,15.063021287538456,36.005257163708464,25\n"
+    "24,15.20727183168713,15.065791497428938,37.849246652801476,23\n"
+    "25,15.207214972444012,15.066560745878828,35.890466155864203,38\n"
+    "26,15.204086037289873,15.069714773557862,35.703936778258438,23\n"
+    "27,15.200384076941443,15.070759857993524,36.179191954945502,32\n"
+    "28,15.199199050335396,15.073060234649368,37.118152470574529,16\n"
+    "29,15.19708114919816,15.074590492931355,36.085386860767308,33\n"
+    "30,15.197786720708343,15.077439472767743,35.078732166033724,34\n"
+    "31,15.195819054012146,15.076204732171309,35.598260468514582,30\n"
+    "32,15.194536076314833,15.077173349496453,35.603294400551114,30\n"
+    "33,15.195584871990894,15.081814311139034,34.659311424389713,30\n"
+    "34,15.193188225549846,15.084068813050019,35.284489769248978,35\n"
+    "35,15.1930327911387,15.082848560651986,34.16946950996028,36\n"
+    "36,15.191467748780791,15.085399727260516,35.117368616872049,23\n"
+    "37,15.192760174582359,15.083101116475518,34.170327626954183,33\n"
+    "38,15.192424643404239,15.082062407203795,34.806538093575412,32\n"
+    "39,15.190035005505758,15.081259590399219,34.148792105906075,42\n"
+    "40,15.190109419621571,15.08259621682558,33.762281542123183,38\n"
+)
+
 SUMMARY_CSV = (
     "kind,epsilon,N,S0,trials,mean,stddev,stderr,bound,ratio\n"
     "walk-validation:first-passage,0.10000000000000001,,,2000,0.30000000000000004,"
@@ -262,6 +309,13 @@ def test_seeded_planar_trajectory_300_points(tmp_path):
                  "--steps", "5", "--stride", "1", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert (tmp_path / "trajectory2d.csv").read_bytes() == PLANAR_300_TRAJECTORY.encode()
+
+
+def test_seeded_planar_trajectory_2000_points(tmp_path):
+    code = main(["sim2d", "--n", "2000", "--side", "30", "--epsilon", "0.1", "--seed", "11",
+                 "--steps", "40", "--stride", "1", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "trajectory2d.csv").read_bytes() == PLANAR_2000_TRAJECTORY.encode()
 
 
 def test_summary_results(tmp_path):

@@ -1284,6 +1284,11 @@ class TestWalkSimulators:
         # burn-in ends inside the first 262,144-draw block; sampling crosses into the second
         assert_chain_matches_scalar(0.4, 77, 262_100, 5_003, 7)
 
+    def test_reflected_chain_over_several_blocks(self):
+        # burn-in fills the first block; windows 4 and 10 straddle the block
+        # boundaries at sample indices 224,288 and 486,432
+        assert_chain_matches_scalar(0.3, 5, 300_000, 600_001, 13)
+
 
 class TestCentroidDriftLaw:
     def test_increment_frequencies(self):

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lineswarm import sim2d
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
 from lineswarm.sim2d import (
+    _FINE_AXES,
+    _FINE_MIN,
+    _OCTAGON_AXES,
     Trajectory2DRow,
+    _certified_out,
     _monotone_chain,
     convex_hull,
     hull_diameter,
@@ -197,14 +202,17 @@ class TestConvexHull:
             )
 
 
-def _octagon_edges(pts):
-    """Consecutive extreme points in the CCW order the prefilter joins them."""
-    x, y = pts[:, 0], pts[:, 1]
-    ext = [y.argmin(), (x - y).argmax(), x.argmax(), (x + y).argmax(),
-           y.argmax(), (x - y).argmin(), x.argmin(), (x + y).argmin()]
+def _merged_ring(pts, ext):
+    """The rows ``ext`` of ``pts`` as ring points, consecutive repeats merged."""
     ring = [tuple(pts[i]) for i in ext]
-    ring = [p for i, p in enumerate(ring) if p != ring[i - 1]]
-    return ext, [(np.array(ring[i - 1]), np.array(ring[i])) for i in range(len(ring))]
+    return [p for i, p in enumerate(ring) if p != ring[i - 1]]
+
+
+def _octagon_ring(pts):
+    """The ring the coarse pass joins: the octagon's extreme points, CCW."""
+    x, y = pts[:, 0], pts[:, 1]
+    return _merged_ring(pts, [y.argmin(), (x - y).argmax(), x.argmax(), (x + y).argmax(),
+                              y.argmax(), (x - y).argmin(), x.argmin(), (x + y).argmin()])
 
 
 def _pushed_out(p, a, b, k):
@@ -220,14 +228,11 @@ def _pushed_out(p, a, b, k):
 def _prefilter_sets(draw):
     """20-400 points that put the prefilter's margin to work.
 
-    Polygon and lattice sets get copies of the extreme points appended at
-    higher indices and, on each octagon edge, one point pushed a few ulps
-    out across it (one only, as a farther one would shadow it).  Lattice
-    sets also get runs of lattice points exactly on the octagon edges.
-    A polygon has one edge from ``a`` to ``-2a``, through the origin,
-    whose pushed point is its exact point ``+-2**-j * a``: that close to
-    the origin the float determinant rounds at the scale of the edge, so
-    only the margin keeps the point.  Exactly collinear and all-coincident
+    Polygon and lattice sets are augmented on the octagon's ring
+    (`_augment`).  A polygon has one edge from ``a`` to ``-2a``, through
+    the origin, whose pushed point is its exact point ``+-2**-j * a``:
+    that close to the origin the float determinant rounds at the scale of
+    the edge, so only the margin keeps the point.  Exactly collinear and all-coincident
     sets come as they are.  Scales are powers of two, so scaling the
     lattice is exact.
     """
@@ -251,9 +256,31 @@ def _prefilter_sets(draw):
         near_origin = a0 * (2.0 ** -int(rng.integers(10, 40)) * rng.choice([-1.0, 1.0]))
     else:
         pts = rng.integers(-50, 51, (n, 2)) * scale
-    extremes, edges = _octagon_edges(pts)
-    extra = [pts[extremes]]
-    for a, b in edges:
+        a0 = near_origin = None
+    return _augment(rng, pts, _octagon_ring(pts), kind, scale, a0, near_origin)
+
+
+def _octagon_survivors(pts):
+    return pts[~_certified_out(pts, _OCTAGON_AXES)]
+
+
+def _fine_ring(pts):
+    """The ring the fine pass joins: extremes of the octagon's survivors, CCW."""
+    kept = _octagon_survivors(pts)
+    return _merged_ring(kept, [np.argmax(kept @ u) for u in _FINE_AXES])
+
+
+def _augment(rng, pts, ring, kind, scale, a0, near_origin):
+    """``pts`` plus points on and just outside the edges of ``ring``.
+
+    Copies of the ring points go at higher indices, and one point goes a
+    few ulps out across each edge (one only, as a farther one would shadow
+    it); on the polygon edge from ``a0`` to ``-2 * a0`` that point is
+    ``near_origin``.  Lattice sets also get runs of lattice points exactly
+    on the edges.
+    """
+    extra = [np.reshape(ring, (-1, 2))]
+    for a, b in zip(map(np.array, ring), map(np.array, ring[1:] + ring[:1])):
         d = b - a
         if kind == "lattice":
             g = math.gcd(int(d[0] / scale), int(d[1] / scale))
@@ -265,12 +292,84 @@ def _prefilter_sets(draw):
     return [tuple(p) for p in np.vstack([pts, *extra]).tolist()]
 
 
+def _annulus(rng, n, inner):
+    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    radii = rng.uniform(inner, 1.0, n)
+    return np.c_[radii * np.cos(angles), radii * np.sin(angles)]
+
+
+@st.composite
+def _fine_sets(draw):
+    """Sets whose octagon leaves more than `_FINE_MIN` points, so the fine pass runs.
+
+    A polygon set crowds points against the inside of the edges of a
+    16-32-gon inscribed in a circle, some within a few ulps, plus interior
+    noise.  Its edge from ``a`` to ``b = -2a`` spans 60-120 degrees of the
+    circle, so both ends are extreme along some fine direction and the
+    edge is on the fine ring; its pushed point is ``+-2**-j * a``, as in
+    `_prefilter_sets`.  A lattice set takes the lattice points of a thin
+    annulus.  Both are then augmented on the fine ring (`_augment`).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(150, 300))
+    scale = draw(st.sampled_from([2.0**-10, 1.0, 2.0**20]))
+    kind = draw(st.sampled_from(["polygon", "lattice"]))
+    if kind == "polygon":
+        span = rng.uniform(math.pi / 3, 2 * math.pi / 3)
+        rest = np.sort(rng.uniform(span, 2 * math.pi, int(rng.integers(14, 31))))
+        angles = np.r_[0.0, span, rest] + rng.uniform(0.0, 2 * math.pi)
+        corners = np.c_[np.cos(angles), np.sin(angles)]
+        # the origin goes a third of the way along the first edge, whose end
+        # is then set to exactly -2 times its start
+        corners -= (2.0 * corners[0] + corners[1]) / 3.0
+        corners[1] = -2.0 * corners[0]
+        corners *= scale
+        a0, mid = corners[0], corners.mean(axis=0)
+        i = rng.integers(0, len(corners), n)
+        on_edges = corners[i] + rng.random((n, 1)) * (np.roll(corners, -1, axis=0)[i] - corners[i])
+        inward = 1.0 - 10.0 ** -rng.uniform(2.0, 16.0, (n, 1))
+        noise = mid + 0.5 * scale * _annulus(rng, n // 4, 0.0)
+        pts = np.vstack([corners, mid + (on_edges - mid) * inward, noise])
+        near_origin = a0 * (2.0 ** -int(rng.integers(10, 40)) * rng.choice([-1.0, 1.0]))
+    else:
+        pts = np.rint(60.0 * _annulus(rng, n, 0.9)) * scale
+        a0 = near_origin = None
+    return _augment(rng, pts, _fine_ring(pts), kind, scale, a0, near_origin)
+
+
 class TestPrefilter:
     @given(_prefilter_sets())
     @settings(max_examples=200, deadline=None)
     def test_equals_unfiltered_chain(self, points):
         assert 20 <= len(points) <= 400
         assert convex_hull(points) == _monotone_chain(np.array(points), range(len(points)))
+
+    @given(_fine_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_fine_pass_equals_unfiltered_chain(self, points):
+        assert len(_octagon_survivors(np.array(points))) > _FINE_MIN
+        assert convex_hull(points) == _monotone_chain(np.array(points), range(len(points)))
+
+    @pytest.mark.parametrize(
+        "inner,passes", [(0.9, 2), (0.0, 1)], ids=["thin-annulus", "uniform-disk"]
+    )
+    def test_fine_pass_runs_past_the_gate(self, monkeypatch, inner, passes):
+        calls = []
+
+        def spy(pts, axes):
+            out = _certified_out(pts, axes)
+            calls.append((len(axes), len(pts), int(out.sum())))
+            return out
+
+        monkeypatch.setattr(sim2d, "_certified_out", spy)
+        pts = _annulus(np.random.default_rng(8), 400, inner)
+        assert convex_hull(pts) == _monotone_chain(pts, range(len(pts)))
+        assert len(calls) == passes
+        if passes == 2:
+            (_, n, coarse), (axes, m, fine) = calls
+            assert axes == 32 and m == n - coarse > _FINE_MIN and fine > 0
+        else:
+            assert calls[0][1] - calls[0][2] <= _FINE_MIN
 
     @pytest.mark.parametrize(
         "points", [[(1.0,)], [(1.0, 2.0), "ab"], [(1.0, 2.0, 3.0), (0.0, 0.0)]]
