@@ -147,6 +147,7 @@ __all__ = [
     "simulate_walk_first_passage",
     "simulate_two_barrier_hits",
     "simulate_reflected_chain",
+    "exact_sum",
 ]
 
 BILATERAL = "bilateral"
@@ -187,6 +188,21 @@ class TrajectoryRow(NamedTuple):
     total_span: float
     x_min: float
     x_max: float
+
+
+def exact_sum(xs: Sequence[float]) -> tuple[float, ...]:
+    """The exact sum of the sequence ``xs`` as a few non-overlapping
+    doubles, largest first.
+
+    The first is ``math.fsum(xs)``, the correctly rounded sum, so ``fsum``
+    of the tuple, alone or with more terms, rounds an exact sum once.  It
+    raises where ``math.fsum(xs)`` does: `OverflowError` when a partial sum
+    overflows.
+    """
+    total = [math.fsum(xs)]
+    while rest := math.fsum(chain(xs, map(neg, total))):
+        total.append(rest)
+    return tuple(total)
 
 
 class SwarmState1D:
@@ -239,11 +255,7 @@ class SwarmState1D:
             raise ValidationError("positions must satisfy |x| < 2**52 and N*(span+2) < 2**62")
         if mode not in MODES:
             raise ValidationError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
-        xs = x.tolist()
-        total = [math.fsum(xs)]  # the exact sum, as non-overlapping doubles
-        while rest := math.fsum(chain(xs, map(neg, total))):
-            total.append(rest)
-        del xs
+        total = exact_sum(x.tolist())
         # x = cell + f exactly, f in (-1/2, 1/2]; temporaries go as soon as
         # they are used, since N can be 10^5
         cells = np.rint(x)
@@ -268,7 +280,7 @@ class SwarmState1D:
         self.params = params
         self.mode = mode
         self.t = 0
-        self._sum = tuple(total)
+        self._sum = total
         self._backs = (0, 0, 0)  # turn-back ticks: left end, right end, both
         self._pool = DrawPool(rng)
         self.gathered = n < 4 or blocks[-1][-2] - blocks[0][1] <= n

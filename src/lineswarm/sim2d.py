@@ -32,6 +32,16 @@ a closed ring of input points has winding number at least 1, so it lies
 strictly inside the hull, and removing it changes neither the strict
 hull nor which copy of a vertex has the lowest index.  The points live
 in one (N, 2) float64 array.
+
+A trajectory row costs O(h) beyond its hull build, for h hull vertices,
+not O(N).  The state keeps each axis's exact coordinate sum as a few
+non-overlapping doubles (`sim1d.exact_sum`), built on the first
+`SwarmState2D.centroid` call; `step2d` then adds each moved vertex's new
+coordinates and takes off its old ones, exactly, so the centroid is the
+exact sum rounded once, the double that ``math.fsum`` over all N
+coordinates gives.  `hull_diameter` passes to ``math.hypot`` only the
+vertex pairs whose squared distance, taken in numpy, is within a relative
+2**-30 of the largest, which always holds the pair of the largest hypot.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ import numpy as np
 from .errors import DegenerateConfigurationError, ValidationError
 from .rw_analytics import WalkParams
 from .seeding import DrawPool
+from .sim1d import exact_sum
 
 __all__ = [
     "HullInfo",
@@ -243,23 +254,43 @@ def convex_hull(points: Sequence) -> HullInfo:
     return _monotone_chain(pts[keep], keep.tolist())
 
 
+# Squares and their sums err by under 2**-51 relatively, and `math.hypot`
+# by under one ulp, so the pair of the largest hypot has a squared distance
+# well inside this margin of the largest one.  That needs the largest in
+# [2**-900, 2**900]: there nothing overflows, and a square that underflows
+# errs by at most 2**-1074, nothing against it.
+_DIAMETER_MARGIN = 1.0 - 2.0**-30
+
+
 def hull_diameter(hull: HullInfo) -> float:
-    """Largest pairwise distance, attained between hull vertices."""
-    coords = hull.coordinates
-    if len(coords) == 1:
-        return 0.0
-    best = 0.0
-    for i in range(len(coords)):
-        xi, yi = coords[i]
-        for j in range(i + 1, len(coords)):
-            best = max(best, math.hypot(coords[j][0] - xi, coords[j][1] - yi))
-    return best
+    """Largest pairwise distance, attained between hull vertices.
+
+    The largest ``math.hypot`` of a vertex pair's coordinate differences,
+    0.0 for one vertex.  Squared distances of all pairs are taken in numpy,
+    and only the pairs within a relative 2**-30 of the largest reach
+    ``hypot``; every pair does when the largest lies outside
+    [2**-900, 2**900], where squares may underflow or overflow.
+    """
+    c = np.array(hull.coordinates)
+    with np.errstate(over="ignore"):  # the range test below catches it
+        dx = c[:, 0, None] - c[:, 0]
+        dy = c[:, 1, None] - c[:, 1]
+        d2 = dx * dx + dy * dy
+    top = d2.max()
+    cut = top * _DIAMETER_MARGIN if 2.0**-900 <= top <= 2.0**900 else 0.0
+    pairs = d2 >= cut
+    return max(map(math.hypot, dx[pairs].tolist(), dy[pairs].tolist()))
 
 
 class SwarmState2D:
-    """Planar point set plus tick counter and a seeded RNG stream."""
+    """Planar point set plus tick counter and a seeded RNG stream.
 
-    __slots__ = ("params", "t", "_pts", "_pool")
+    ``_sums`` holds each axis's exact coordinate sum as `exact_sum` doubles.
+    It is None until the first `centroid` call builds it from the points;
+    from then on `step2d` keeps it exact, so a later `centroid` is O(1).
+    """
+
+    __slots__ = ("params", "t", "_pts", "_pool", "_sums")
 
     def __init__(
         self,
@@ -271,6 +302,7 @@ class SwarmState2D:
         self.t = 0
         self._pts = _as_points(points).copy()
         self._pool = DrawPool(rng)
+        self._sums: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     @property
     def n_agents(self) -> int:
@@ -281,11 +313,11 @@ class SwarmState2D:
         return tuple(map(tuple, self._pts.tolist()))
 
     def centroid(self) -> tuple[float, float]:
+        """The exact coordinate sums, each rounded once, over N."""
+        if self._sums is None:
+            self._sums = tuple(map(exact_sum, self._pts.T.tolist()))
         n = len(self._pts)
-        return (
-            math.fsum(self._pts[:, 0].tolist()) / n,
-            math.fsum(self._pts[:, 1].tolist()) / n,
-        )
+        return self._sums[0][0] / n, self._sums[1][0] / n
 
 
 def new_swarm2d(
@@ -312,7 +344,17 @@ def step2d(state: SwarmState2D) -> HullInfo:
         pool.consume(h)
         # hull vertices are distinct rows, and a move by +-1 times the
         # bisector is one exact product and one rounded add per coordinate
-        state._pts[np.array(hull.vertices)] += sign[:, None] * np.array(hull.bisectors)
+        idx = np.array(hull.vertices)
+        old = state._pts[idx]
+        state._pts[idx] = new = old + sign[:, None] * np.array(hull.bisectors)
+        if state._sums is not None:
+            terms = np.concatenate((new, -old)).T.tolist()
+            try:
+                state._sums = tuple(exact_sum([*s, *t]) for s, t in zip(state._sums, terms))
+            except OverflowError:
+                # a partial sum in this order overflowed: the next centroid
+                # sums the points in index order, as it would have at build
+                state._sums = None
     state.t += 1
     return hull
 

@@ -5,7 +5,8 @@ that the package holds only what the CLI, the experiments or the
 benchmark run: series sums to check closed forms against, the absorbing
 chain in exact rational arithmetic, a half-shrink bound, the fractional
 parts and the variance of a 1D swarm, the bisector at one planar hull
-vertex, and a one-draw-at-a-time reader of a `DrawPool`.
+vertex, the planar centroid and hull diameter by direct sums and loops,
+and a one-draw-at-a-time reader of a `DrawPool`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ __all__ = [
     "Metrics",
     "absorbing_chain_exact",
     "bisector_direction",
+    "centroid_fsum",
     "fractional_parts",
     "half_shrink_bound",
     "hit_prob_series_partial_sums",
+    "hull_diameter_pairs",
     "metrics",
     "reflected_chain_mean_series",
     "take",
@@ -188,6 +191,23 @@ def bisector_direction(hull: HullInfo, vertex_index: int) -> tuple[float, float]
             "a single-vertex hull has no bisector direction"
         )
     return b
+
+
+def centroid_fsum(points) -> tuple[float, float]:
+    """``math.fsum`` of each axis over all the points, over N."""
+    xs, ys = zip(*points)
+    return math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+
+
+def hull_diameter_pairs(hull: HullInfo) -> float:
+    """Largest ``math.hypot`` over every pair of hull vertices, one by one."""
+    coords = hull.coordinates
+    best = 0.0
+    for i in range(len(coords)):
+        xi, yi = coords[i]
+        for j in range(i + 1, len(coords)):
+            best = max(best, math.hypot(coords[j][0] - xi, coords[j][1] - yi))
+    return best
 
 
 # -- draws -------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lineswarm.sim1d import (
     BILATERAL,
     UNILATERAL_LEFT,
     UNILATERAL_RIGHT,
+    exact_sum,
     new_swarm,
     run_unilateral_sweep,
     run_until_gathered,
@@ -395,6 +396,12 @@ class TestCentroidAndVariance:
         assert s.centroid() == math.fsum(s.positions) / s.n_agents
         s.advance(ticks)
         assert s.centroid() == math.fsum(s.positions) / s.n_agents
+
+    @given(st.lists(st.floats(-(2.0**1000), 2.0**1000), min_size=1, max_size=30))
+    def test_exact_sum_holds_the_exact_sum(self, xs):
+        total = exact_sum(xs)
+        assert total[0] == math.fsum(xs)
+        assert sum(map(Fraction, total)) == sum(map(Fraction, xs))
 
     @pytest.mark.parametrize("mode", [BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
     def test_centroid_after_many_ticks_at_ten_thousand(self, mode):

@@ -13,6 +13,7 @@ from lineswarm.sim2d import (
     _FINE_AXES,
     _FINE_MIN,
     _OCTAGON_AXES,
+    HullInfo,
     Trajectory2DRow,
     _certified_out,
     _monotone_chain,
@@ -24,7 +25,7 @@ from lineswarm.sim2d import (
     step2d,
 )
 
-from oracles import bisector_direction
+from oracles import bisector_direction, centroid_fsum, hull_diameter_pairs
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -572,3 +573,149 @@ class TestRun2D:
             cx2, cy2 = s.centroid()
             long_.append((cx2 - cx0) ** 2 + (cy2 - cy0) ** 2)
         assert np.mean(long_) > np.mean(short) > 0.0
+
+
+# -- rows in O(h): the centroid's running sums and the candidate-pair diameter
+
+# 2**-530 and 2**-1000 give squared distances below 2**-900 (subnormal or
+# zero), 2**600 above 2**900 (inf): every pair is taken there, and only the
+# near-largest ones at the other scales
+_SCALES = (2.0**-1000, 2.0**-530, 2.0**-10, 1.0, 2.0**20, 2.0**600)
+
+
+@st.composite
+def _scaled_hulls(draw):
+    """Hulls of random sets, regular polygons (near-tied diagonals), squares
+    (exactly tied ones), one location and two, scaled by a power of two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "polygon", "square", "one", "two")))
+    n = draw(st.integers(3, 40))
+    if kind == "random":
+        pts = rng.uniform(-1, 1, (n, 2))
+    elif kind == "polygon":
+        a = rng.uniform(0, 2 * math.pi) + 2 * math.pi * np.arange(n) / n
+        pts = np.column_stack((np.cos(a), np.sin(a)))
+    elif kind == "square":
+        pts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * float(rng.integers(1, 2**20))
+    elif kind == "one":
+        pts = np.tile(rng.uniform(-1, 1, 2), (n, 1))
+    else:
+        pts = rng.uniform(-1, 1, (2, 2))[rng.integers(0, 2, n)]
+    hull = convex_hull(pts + rng.uniform(-4, 4, 2))
+    scale = draw(st.sampled_from(_SCALES))
+    coords = tuple((x * scale, y * scale) for x, y in hull.coordinates)
+    return HullInfo(hull.vertices, coords, hull.bisectors)
+
+
+def _mixed_sets(rng, kind, n):
+    """Coincident, collinear or mixed-magnitude (near 1e-12 and 1e12) points."""
+    if kind == "coincident":
+        return rng.uniform(-3, 3, (3, 2))[rng.integers(0, 3, n)]
+    if kind == "collinear":  # exactly: eighths along an integer direction
+        return rng.integers(-24, 24, 2) / 8 + rng.integers(-40, 40, (n, 1)) / 8 * rng.integers(-3, 4, 2)
+    magnitude = np.where(rng.random((n, 2)) < 0.5, 1e-12, 1e12)
+    return rng.uniform(-1, 1, (n, 2)) * magnitude
+
+
+class TestRowsInOrderH:
+    @given(_scaled_hulls())
+    @settings(max_examples=150, deadline=None)
+    def test_diameter_equals_pair_loop(self, hull):
+        assert hull_diameter(hull) == hull_diameter_pairs(hull)
+
+    @pytest.mark.parametrize(
+        "coords, scale",
+        [
+            # the largest squared distance is on the diagonal from the first
+            # vertex, the largest hypot on the other one
+            (
+                (
+                    (-1.7784300547506993, 0.3530187196691972),
+                    (-0.35301871966919524, -1.7784300547506997),
+                    (1.7784300547506997, -0.35301871966919535),
+                    (0.3530187196691955, 1.7784300547506997),
+                ),
+                1.0,
+            ),
+            # subnormal squares: the largest is on another pair than the hypot's
+            (
+                (
+                    (2.41075024001116, -3.2753251836850787),
+                    (3.3868414203402657, -3.9304679306752592),
+                    (4.311547961749978, -3.204600295686488),
+                    (3.9069568536314376, -2.100846678939745),
+                    (2.7321992558584833, -2.1445570635734033),
+                ),
+                2.0**-530,
+            ),
+        ],
+    )
+    def test_diameter_where_squares_mislead(self, coords, scale):
+        scaled = tuple((x * scale, y * scale) for x, y in coords)
+        hull = HullInfo(tuple(range(len(coords))), scaled, (None,) * len(coords))
+        assert hull_diameter(hull) == hull_diameter_pairs(hull)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_diameter_of_one_and_two_vertices(self, n, scale):
+        coords = ((3.0 * scale, -1.0 * scale), (-1.0 * scale, 2.0 * scale))[:n]
+        hull = HullInfo(tuple(range(n)), coords, (None,) * n)
+        assert hull_diameter(hull) == hull_diameter_pairs(hull) == (0.0, 5.0 * scale)[n - 1]
+
+    @given(
+        st.sampled_from(("coincident", "collinear", "mixed")),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((0.0, 0.1, 0.4)),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_centroid_equals_fsum_after_steps(self, kind, n, seed, eps, ticks):
+        s = new_swarm2d(_mixed_sets(np.random.default_rng(seed), kind, n), eps, seed)
+        assert s.centroid() == centroid_fsum(s.points)
+        for _ in range(ticks):
+            step2d(s)
+            assert s.centroid() == centroid_fsum(s.points)
+
+    def test_overflowing_sum_fails_at_the_row_centroid(self):
+        pts = [(5e307, float(k)) for k in range(4)]
+        with pytest.raises(OverflowError):
+            centroid_fsum(pts)
+        with pytest.raises(OverflowError):
+            run2d(new_swarm2d(pts, 0.1, 1), 3)
+        s = new_swarm2d(pts, 0.1, 1)
+        step2d(s)
+        with pytest.raises(OverflowError):
+            s.centroid()
+
+    def test_partial_sum_overflow_in_the_update_order(self):
+        # in index order every partial sum is finite; added in the hull's CCW
+        # order from (-5e307, 0), the new x's then the old ones', they overflow
+        pts = [(-5e307, 0.0), (5e307, 0.0), (5e307, 0.25), (5e307, 0.5)]
+        s = new_swarm2d(pts, 0.1, 2)
+        assert s.centroid() == centroid_fsum(pts)
+        step2d(s)
+        assert s._sums is None
+        assert s.centroid() == centroid_fsum(s.points)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.integers(0, 40),
+        st.sets(st.integers(0, 40)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rows_do_not_depend_on_the_schedule(self, seed, steps, stride, head, calls):
+        pts = np.random.default_rng(seed).uniform(0, 6, (30, 2))
+        every = run2d(new_swarm2d(pts, 0.2, seed), head + steps)
+        strided = run2d(new_swarm2d(pts, 0.2, seed), head + steps, stride)
+        assert strided == [r for r in every if r.t % stride == 0 or r.t == head + steps]
+        # a swarm first stepped ``head`` ticks with `centroid` called at the
+        # ticks in ``calls``, or never, then recorded
+        s = new_swarm2d(pts, 0.2, seed)
+        for t in range(head):
+            if t in calls:
+                s.centroid()
+            step2d(s)
+        assert run2d(s, steps) == every[head:]
