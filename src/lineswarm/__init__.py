@@ -14,13 +14,12 @@ from .errors import (
     LineswarmError,
     ValidationError,
 )
-from .rw_analytics import InitialConfiguration, WalkParams
+from .rw_analytics import WalkParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "WalkParams",
-    "InitialConfiguration",
     "LineswarmError",
     "ValidationError",
     "DegenerateConfigurationError",

@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .rw_analytics import (
-    InitialConfiguration,
     WalkParams,
     expected_steps_to_minus_one,
     farthest_excursion_bound,
@@ -305,7 +304,7 @@ def _convergence_trial(args: tuple) -> tuple[int, float, bool]:
     flat_index, eps, n, s0, seed, max_steps = args
     p = WalkParams(eps)
     positions = uniform_start(seed, "convergence-init", flat_index, n, s0)
-    bound = gathering_time_bound(InitialConfiguration(tuple(positions), p))
+    bound = gathering_time_bound(positions, p)
     state = new_swarm(positions, p, child_seed(seed, "convergence-dyn", flat_index))
     res = run_until_gathered(state, max_steps)
     return res.T, bound, res.reached

@@ -45,7 +45,6 @@ from .errors import DegenerateConfigurationError, ValidationError
 
 __all__ = [
     "WalkParams",
-    "InitialConfiguration",
     "AbsorbingChainSolution",
     "catalan",
     "prob_hit_minus_one",
@@ -57,7 +56,6 @@ __all__ = [
     "tail_prob_sum",
     "markov_span_bound",
     "gathering_bound_unilateral",
-    "circular_fraction",
     "min_fractional_distance",
     "gathering_time_bound",
     "gathering_bound_from_terms",
@@ -95,24 +93,6 @@ class WalkParams:
     def ratio(self) -> float:
         """``epsilon / (1 - epsilon)``, the geometric decay of all tails."""
         return self.epsilon / (1.0 - self.epsilon)
-
-
-@dataclass(frozen=True)
-class InitialConfiguration:
-    """Ordered initial positions on the opinion axis plus the bias."""
-
-    positions: tuple[float, ...]
-    params: WalkParams
-
-    def __post_init__(self) -> None:
-        pos = tuple(float(x) for x in self.positions)
-        if len(pos) < 1:
-            raise ValidationError("need at least one position")
-        if any(not math.isfinite(x) for x in pos):
-            raise ValidationError("positions must be finite")
-        if any(a > b for a, b in zip(pos, pos[1:])):
-            raise ValidationError("positions must be sorted non-decreasing")
-        object.__setattr__(self, "positions", pos)
 
 
 def catalan(k: int) -> int:
@@ -165,20 +145,27 @@ def farthest_excursion_bound(p: WalkParams) -> float:
 
 # past this n * ln(1/r), r**n lies below 2^-1075, half the smallest subnormal
 _UNDERFLOW_LOG = 1075 * math.log(2.0) + 1.0
+_POWER_CHUNK = 1 << 16
 
 
 def _ratio_power(p: WalkParams, n: int) -> float:
     # Repeated multiplication keeps the k -> k+1 step a single multiply by a
     # factor < 1, so tails stay monotone; a log/exp round trip would not.
+    # `multiply.accumulate` multiplies in order, so each chunk gives the
+    # doubles of the scalar loop.
     r = p.ratio
     if r > 0.0 and n * -math.log(r) > _UNDERFLOW_LOG:
         return 0.0  # r**n rounds to 0.0: no need to run n factors
     acc = 1.0
-    for _ in range(n):
-        nxt = acc * r
-        if nxt == acc:  # 0.0, or a subnormal that every later factor keeps: end at 0.0
+    while n:
+        m = min(n, _POWER_CHUNK)
+        run = np.full(m + 1, r)
+        run[0] = acc
+        np.multiply.accumulate(run, out=run)
+        if (run[1:] == run[:-1]).any():  # 0.0, or a subnormal that every later factor keeps
             return 0.0
-        acc = nxt
+        acc = float(run[-1])
+        n -= m
     return acc
 
 
@@ -228,33 +215,31 @@ def markov_span_bound(p: WalkParams, k: float) -> float:
     return min(1.0, 1.0 / k + (2.0 * p.epsilon / k) / (1.0 - 2.0 * p.epsilon))
 
 
-def gathering_bound_unilateral(cfg: InitialConfiguration) -> float:
+def _finite_positions(positions: Sequence[float]) -> np.ndarray:
+    """``positions`` as a flat float array, every entry finite."""
+    x = np.asarray(positions, dtype=float)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise ValidationError("positions must be a flat sequence of finite numbers")
+    return x
+
+
+def gathering_bound_unilateral(positions: Sequence[float], p: WalkParams) -> float:
     """Expected ticks for a one-sided sweep to carry every agent over a beacon.
 
-    ``cfg.positions[0]`` is the beacon; the remaining agents must lie
+    ``positions[0]`` is the beacon; the remaining agents must lie
     strictly above it, strictly increasing.  When only the rightmost agent
     moves, every agent crosses the beacon exactly once and the sweep ends
     after an expected ``(1/(1-2 eps)) * sum(floor(x_k - x_0) + 1)`` ticks,
     leaving all agents in ``(x_0 - 1, x_0]``.
     """
-    pos = cfg.positions
-    if len(pos) < 2:
+    x = _finite_positions(positions)
+    if x.size < 2:
         raise ValidationError("need a beacon plus at least one agent")
-    if any(a >= b for a, b in zip(pos, pos[1:])):
+    if (x[1:] <= x[:-1]).any():
         raise ValidationError("positions must be strictly increasing")
-    beacon = pos[0]
-    total = sum(math.floor(x - beacon) + 1 for x in pos[1:])
-    return total / (1.0 - 2.0 * cfg.params.epsilon)
-
-
-def circular_fraction(x: float) -> float:
-    """Fractional part of ``x`` folded onto the circle [0, 1).
-
-    ``x % 1.0`` can round up to exactly 1.0 for tiny negative ``x``;
-    fold that back to 0.0 since the two points coincide on the circle.
-    """
-    f = float(x) % 1.0
-    return 0.0 if f == 1.0 else f
+    beacon, *agents = x.tolist()
+    total = sum(math.floor(v - beacon) + 1 for v in agents)  # exact, in ints
+    return total / (1.0 - 2.0 * p.epsilon)
 
 
 def min_fractional_distance(positions: Sequence[float]) -> float:
@@ -266,13 +251,15 @@ def min_fractional_distance(positions: Sequence[float]) -> float:
     fractional parts: circular distance zero makes ``d`` undefined and
     raises ``DegenerateConfigurationError``.
     """
-    if len(positions) < 2:
+    x = _finite_positions(positions)
+    if x.size < 2:
         raise ValidationError("need at least two positions")
-    fracs = sorted(circular_fraction(x) for x in positions)
-    gaps = [b - a for a, b in zip(fracs, fracs[1:])]
-    # circular wrap between the largest and smallest fractional part
-    gaps.append(1.0 - (fracs[-1] - fracs[0]))
-    best = min(gaps)
+    # % rounds as Python's does: a tiny negative x gives 1.0, which is 0.0 on the circle
+    fracs = x % 1.0
+    fracs[fracs == 1.0] = 0.0
+    fracs.sort()
+    # the circular wrap between the largest and smallest fractional part
+    best = min(float(np.diff(fracs).min()), 1.0 - float(fracs[-1] - fracs[0]))
     if best == 0.0:
         raise DegenerateConfigurationError(
             "duplicate fractional parts; the bound needs distinct fractional parts"
@@ -303,26 +290,28 @@ def gathering_bound_from_terms(
     return steps / (1.0 - 2.0 * p.epsilon)
 
 
-def gathering_time_bound(cfg: InitialConfiguration) -> float:
+def gathering_time_bound(positions: Sequence[float], p: WalkParams) -> float:
     """Expected ticks until the inner agents fit in a unit interval.
 
-    With ``s0 = x_{N-1}(0) - x_2(0) - 1`` (1-indexed) and ``d`` the minimum
-    circular fractional distance, repeated half-shrinks reach the unit
-    interval after at most ``ceil(log2(s0/d))`` phases, giving
+    With sorted positions, ``s0 = x_{N-1}(0) - x_2(0) - 1`` (1-indexed) and
+    ``d`` the minimum circular fractional distance, repeated half-shrinks
+    reach the unit interval after at most ``ceil(log2(s0/d))`` phases, giving
 
         (N (s0 + ceil(log2(s0/d))) + (x_N - x_1 - s0 - 1)) / (1 - 2 eps).
 
     Returns 0 when the core already fits (``s0 <= 0``).
     """
-    pos = cfg.positions
-    n = len(pos)
-    if n < 4:
-        raise ValidationError(f"need at least 4 agents, got {n}")
-    s0 = pos[-2] - pos[1] - 1.0
+    x = _finite_positions(positions)
+    if (x[1:] < x[:-1]).any():
+        raise ValidationError("positions must be sorted non-decreasing")
+    if x.size < 4:
+        raise ValidationError(f"need at least 4 agents, got {x.size}")
+    x1, x2, x_penult, xn = x[[0, 1, -2, -1]].tolist()
+    s0 = x_penult - x2 - 1.0
     if s0 <= 0:
         return 0.0
-    d = min_fractional_distance(pos)  # raises on duplicate fractional parts
-    return gathering_bound_from_terms(n, s0, pos[-1] - pos[0], d, cfg.params)
+    d = min_fractional_distance(x)  # raises on duplicate fractional parts
+    return gathering_bound_from_terms(x.size, s0, xn - x1, d, p)
 
 
 @dataclass(frozen=True)

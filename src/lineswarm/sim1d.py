@@ -297,6 +297,22 @@ class SwarmState1D:
         cell, rank = divmod(key, self._n)
         return self._table[rank] + (cell + self._cell0)
 
+    def _doubles(self, keys: np.ndarray) -> np.ndarray:
+        """`_at` of each of an int64 array of keys, in the same operations."""
+        n = self._n
+        return np.frombuffer(self._table)[keys % n] + (keys // n + self._cell0)
+
+    def _outward_error(
+        self, t: int, x2: int, xp: int, x2_after: int, xp_after: int
+    ) -> InvariantViolationError:
+        """The error of a tick ``t`` that moved ``x_2`` down or ``x_{N-1}`` up."""
+        at = self._at
+        return InvariantViolationError(
+            f"core edge moved outward at t={t}: "
+            f"x2 {at(x2)} -> {at(x2_after)}, "
+            f"x_(N-1) {at(xp)} -> {at(xp_after)}"
+        )
+
     @property
     def invariant_checks(self) -> int:
         """Ticks that passed both invariant checks: every tick at N >= 4
@@ -412,12 +428,7 @@ class SwarmState1D:
                 if check_core:
                     x2_after, xp_after = first[1], last[-2]
                     if not gathered and (x2_after < x2 or xp_after > xp):
-                        at = self._at
-                        raise InvariantViolationError(
-                            f"core edge moved outward at t={t}: "
-                            f"x2 {at(x2)} -> {at(x2_after)}, "
-                            f"x_(N-1) {at(xp)} -> {at(xp_after)}"
-                        )
+                        raise self._outward_error(t, x2, xp, x2_after, xp_after)
                     core_after = xp_after - x2_after
                     if core_after > n and gathered and mode == BILATERAL:
                         raise InvariantViolationError(
@@ -631,12 +642,7 @@ def _jump_rows(state, ends, x, p, low, high, t, ticks, stride, sink) -> None:
     at = np.arange(stride - t % stride, ticks + 1, stride)
     if not at.size:
         return
-    n, cell0 = state._n, state._cell0
-    fractions = np.frombuffer(state._table)
-
-    def double(keys):
-        return fractions[keys % n] + (keys // n + cell0)
-
+    n, double = state._n, state._doubles
     (walk_left, walk_right), (phase_left, phase_right) = x[:, at], p[:, at]
     lo = ends[0].entries(phase_left) - (phase_left - walk_left) * n
     hi = (phase_right - walk_right) * n - ends[1].entries(phase_right)
@@ -737,12 +743,7 @@ def _jump_to_gathering(
         state.gathered = xp_after - x2_after <= n
     if x2_after < x2 or xp_after > xp:
         state._failed += 1
-        at = state._at
-        raise InvariantViolationError(
-            f"core edge moved outward at t={state.t}: "
-            f"x2 {at(x2)} -> {at(x2_after)}, "
-            f"x_(N-1) {at(xp)} -> {at(xp_after)}"
-        )
+        raise state._outward_error(state.t, x2, xp, x2_after, xp_after)
 
 
 def run_until_gathered(
@@ -854,14 +855,12 @@ def _shape_ticks(state: SwarmState1D, spans: np.ndarray, stride: int) -> int:
     call there.  Leaves the state, the pool and the tallies as `advance`
     would after the ticks run, and returns their count.
     """
-    n, pool = state._n, state._pool
+    pool = state._pool
     block = state._blocks[0]
     x2 = block[1]
     table = _ShapeTable(tuple([key - x2 for key in block]))
     nxt, learn = table.next, table.learn
     keep = 1.0 - state.params.epsilon
-    fractions = np.frombuffer(state._table)
-    cell0 = state._cell0
     total = len(spans) * stride
     row = t = 0
     backs = np.zeros(3, np.int64)  # turn-back ticks: left, right, both
@@ -893,9 +892,7 @@ def _shape_ticks(state: SwarmState1D, spans: np.ndarray, stride: int) -> int:
                 lo = x2s[at] + np.array(table.low)[after]
                 hi = x2s[at] + np.array(table.high)[after]
                 j = (t + first + 1) // stride - 1
-                spans[j : j + at.size] = (fractions[hi % n] + (hi // n + cell0)) - (
-                    fractions[lo % n] + (lo // n + cell0)
-                )
+                spans[j : j + at.size] = state._doubles(hi) - state._doubles(lo)
             back = back[:ran]
             backs += (*back.sum(axis=0), np.count_nonzero(back[:, 0] & back[:, 1]))
             x2 = int(x2s[-1])

@@ -189,6 +189,10 @@ _OCTAGON_AXES = _FINE_AXES[::4]
 _FINE_MIN = 40
 
 
+# on huge coordinates a projection, difference or term can overflow, and a
+# difference of two infinities is NaN; such a term fails the strict comparison
+# below, so the row is not certified and the exact chain decides it
+@np.errstate(over="ignore", invalid="ignore")
 def _certified_out(pts: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``pts`` certified strictly inside their hull.
 

@@ -3,7 +3,8 @@
 Each one is a small direct computation, kept apart from the package so
 that the package holds only what the CLI, the experiments or the
 benchmark run: series sums to check closed forms against, the absorbing
-chain in exact rational arithmetic, a half-shrink bound, the fractional
+chain in exact rational arithmetic, a half-shrink bound, the ratio power
+and the smallest fractional distance by scalar loops, the fractional
 parts and the variance of a 1D swarm, the bisector at one planar hull
 vertex, the planar centroid and hull diameter by direct sums and loops,
 and a one-draw-at-a-time reader of a `DrawPool`.
@@ -16,12 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
-from lineswarm.rw_analytics import (
-    CATALAN_MAX_K,
-    WalkParams,
-    catalan,
-    circular_fraction,
-)
+from lineswarm.rw_analytics import _UNDERFLOW_LOG, CATALAN_MAX_K, WalkParams, catalan
 from lineswarm.seeding import DrawPool
 from lineswarm.sim1d import SwarmState1D
 from lineswarm.sim2d import HullInfo
@@ -31,11 +27,14 @@ __all__ = [
     "absorbing_chain_exact",
     "bisector_direction",
     "centroid_fsum",
+    "circular_fraction",
     "fractional_parts",
     "half_shrink_bound",
     "hit_prob_series_partial_sums",
     "hull_diameter_pairs",
     "metrics",
+    "min_fractional_distance_sorted",
+    "ratio_power_loop",
     "reflected_chain_mean_series",
     "take",
 ]
@@ -86,6 +85,26 @@ def hit_prob_series_partial_sums(p: WalkParams, k_max: int = CATALAN_MAX_K) -> l
         xk *= x
         sums.append(total)
     return sums
+
+
+def ratio_power_loop(p: WalkParams, n: int) -> float:
+    """``ratio**n`` by ``n`` scalar multiplies, 0.0 once a factor stalls.
+
+    The power of `rw_analytics.stationary_pi` and the tails, one multiply
+    at a time: 0.0 when the product stops changing (0.0, or a subnormal
+    that every later factor keeps), and 0.0 with no loop past the same
+    underflow cut.
+    """
+    r = p.ratio
+    if r > 0.0 and n * -math.log(r) > _UNDERFLOW_LOG:
+        return 0.0
+    acc = 1.0
+    for _ in range(n):
+        nxt = acc * r
+        if nxt == acc:
+            return 0.0
+        acc = nxt
+    return acc
 
 
 def reflected_chain_mean_series(p: WalkParams, tail_tol: float = 1e-15) -> float:
@@ -148,6 +167,31 @@ def absorbing_chain_exact(
 
 
 # -- the 1D swarm ------------------------------------------------------------
+
+
+def circular_fraction(x: float) -> float:
+    """Fractional part of ``x`` folded onto the circle [0, 1).
+
+    ``x % 1.0`` can round up to exactly 1.0 for tiny negative ``x``;
+    fold that back to 0.0 since the two points coincide on the circle.
+    """
+    f = float(x) % 1.0
+    return 0.0 if f == 1.0 else f
+
+
+def min_fractional_distance_sorted(positions) -> float:
+    """`rw_analytics.min_fractional_distance` by a Python sort of the
+    scalar fractional parts: the smallest gap between neighbours, the
+    wrap gap included; raises on a zero gap."""
+    if len(positions) < 2:
+        raise ValidationError("need at least two positions")
+    fracs = sorted(circular_fraction(x) for x in positions)
+    gaps = [b - a for a, b in zip(fracs, fracs[1:])]
+    gaps.append(1.0 - (fracs[-1] - fracs[0]))
+    best = min(gaps)
+    if best == 0.0:
+        raise DegenerateConfigurationError("duplicate fractional parts")
+    return best
 
 
 class Metrics(NamedTuple):

@@ -23,10 +23,8 @@ from lineswarm.experiments import (
     write_results,
 )
 from lineswarm.rw_analytics import (
-    InitialConfiguration,
     WalkParams,
     finite_chain_oracle,
-    gathering_time_bound,
     stationary_pi,
     tail_prob_sum,
 )

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
 from lineswarm.rw_analytics import (
     CATALAN_MAX_K,
-    InitialConfiguration,
     WalkParams,
+    _ratio_power,
     catalan,
     expected_steps_to_minus_one,
     farthest_excursion_bound,
@@ -33,8 +33,11 @@ from lineswarm.rw_analytics import (
 
 from oracles import (
     absorbing_chain_exact,
+    circular_fraction,
     half_shrink_bound,
     hit_prob_series_partial_sums,
+    min_fractional_distance_sorted,
+    ratio_power_loop,
     reflected_chain_mean_series,
 )
 
@@ -187,6 +190,18 @@ class TestStationaryDistribution:
             assert all(b <= a for a, b in zip(vals, vals[1:])), tail.__name__
             assert vals[-1] == 0.0
 
+    def test_ratio_power_equals_the_scalar_loop(self):
+        # chunks of 2**16 products: k runs across chunk ends; the power stalls
+        # at a subnormal from k = 65,537 at the first of these two epsilons,
+        # the first product of the second chunk, and from k = 68,564 at 0.4973
+        eps_grid = [0.0, 1e-12, 1e-6, 0.05, 0.1, 0.25, 1 / 3, 0.4, 0.45, 0.4971751098632813,
+                    0.4973, 0.499, 0.4999999]
+        ks = [0, 1, 2, 3, 64, 1_000, 65_536, 65_537, 68_563, 68_564, 131_073, 140_001]
+        for eps in eps_grid:
+            p = WalkParams(eps)
+            for k in ks:
+                assert _ratio_power(p, k).hex() == ratio_power_loop(p, k).hex(), (eps, k)
+
     def test_tail_sum_is_two_fold_convolution_tail(self):
         # independent oracle: P(X+Y >= k) by direct convolution of pi
         p = WalkParams(0.22)
@@ -221,23 +236,22 @@ class TestMarkovSpanBound:
 
 class TestSweepBound:
     def test_pinned_values(self):
+        assert gathering_bound_unilateral((0.0, 0.5, 1.7), WalkParams(0.1)) == pytest.approx(3.75)
+        assert gathering_bound_unilateral((0.0, 0.5), WalkParams(0.0)) == pytest.approx(1.0)
         assert gathering_bound_unilateral(
-            InitialConfiguration((0.0, 0.5, 1.7), WalkParams(0.1))
-        ) == pytest.approx(3.75)
-        assert gathering_bound_unilateral(
-            InitialConfiguration((0.0, 0.5), WalkParams(0.0))
-        ) == pytest.approx(1.0)
-        assert gathering_bound_unilateral(
-            InitialConfiguration((0.0, 2.3, 2.4, 2.5), WalkParams(0.25))
+            np.array([0.0, 2.3, 2.4, 2.5]), WalkParams(0.25)
         ) == pytest.approx(18.0)
 
     def test_rejects_duplicates_and_disorder(self):
+        for bad in [(0.0, 1.0, 1.0), (1.0, 0.0), np.array([0.0, 2.0, 1.5])]:
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                gathering_bound_unilateral(bad, WalkParams(0.1))
+
+    @pytest.mark.parametrize("bad", [(0.0,), (0.0, math.inf), (0.0, math.nan),
+                                     ((0.0, 1.0), (2.0, 3.0))])
+    def test_rejects_short_and_non_finite(self, bad):
         with pytest.raises(ValidationError):
-            gathering_bound_unilateral(
-                InitialConfiguration((0.0, 1.0, 1.0), WalkParams(0.1))
-            )
-        with pytest.raises(ValidationError):
-            InitialConfiguration((1.0, 0.0), WalkParams(0.1))
+            gathering_bound_unilateral(bad, WalkParams(0.1))
 
 
 class TestHalfShrinkBound:
@@ -257,8 +271,6 @@ class TestHalfShrinkBound:
 
 
 def _brute_force_fracdist(values):
-    from lineswarm.rw_analytics import circular_fraction
-
     fracs = [circular_fraction(v) for v in values]
     best = 1.0
     for i in range(len(fracs)):
@@ -297,27 +309,88 @@ class TestMinFractionalDistance:
             assert d == pytest.approx(brute, abs=1e-15)
             assert 0.0 < d <= 0.5
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e15, max_value=1e15),
+                st.floats(min_value=-1e-15, max_value=1e-15),
+                st.sampled_from([-0.0, 0.0, -1e-20, -1e-300, -5e-324, 0.5, -0.5, 1e15 + 0.5]),
+            ),
+            min_size=2,
+            max_size=10,
+        ),
+        st.integers(-3, 3),
+    )
+    @example([-1e-20, 1e-300], 0)  # 1e-300 apart on the circle, once 1.0 folds to 0.0
+    @example([-1e-20, 0.0], 0)
+    def test_bit_equal_to_the_sorted_scalar_reference(self, values, shift):
+        # one more copy of the first value moved by whole units repeats a
+        # fractional part (exactly, below 2**52), which must raise on both
+        if shift:
+            values = values + [values[0] + shift]
+        try:
+            expect = min_fractional_distance_sorted(values)
+        except DegenerateConfigurationError:
+            with pytest.raises(DegenerateConfigurationError):
+                min_fractional_distance(values)
+            with pytest.raises(DegenerateConfigurationError):
+                min_fractional_distance(np.array(values))
+        else:
+            assert min_fractional_distance(values).hex() == expect.hex()
+            assert min_fractional_distance(np.array(values)).hex() == expect.hex()
+
+    @pytest.mark.parametrize("bad", [(0.5,), (), (0.5, math.inf), (math.nan, 0.25),
+                                     ((0.1, 0.2), (0.3, 0.4))])
+    def test_rejects_short_and_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            min_fractional_distance(bad)
+
 
 class TestGatheringTimeBound:
     def test_pinned_values(self):
+        assert gathering_time_bound((0.1, 0.35, 1.6, 2.85), WalkParams(0.1)) == pytest.approx(3.125)
         assert gathering_time_bound(
-            InitialConfiguration((0.1, 0.35, 1.6, 2.85), WalkParams(0.1))
-        ) == pytest.approx(3.125)
-        assert gathering_time_bound(
-            InitialConfiguration((0.1, 0.3, 4.4, 8.7), WalkParams(0.0))
+            np.array([0.1, 0.3, 4.4, 8.7]), WalkParams(0.0)
         ) == pytest.approx(36.9)
 
     def test_already_gathered_is_zero(self):
-        assert gathering_time_bound(
-            InitialConfiguration((0.1, 0.2, 0.9, 5.3), WalkParams(0.1))
-        ) == 0.0
+        assert gathering_time_bound((0.1, 0.2, 0.9, 5.3), WalkParams(0.1)) == 0.0
 
     def test_duplicate_fracs_degenerate(self):
         # 3.125 % 1 == 0.125 exactly (dyadic), a true duplicate in doubles
         with pytest.raises(DegenerateConfigurationError):
-            gathering_time_bound(
-                InitialConfiguration((0.125, 0.6, 3.125, 7.9), WalkParams(0.1))
-            )
+            gathering_time_bound((0.125, 0.6, 3.125, 7.9), WalkParams(0.1))
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0.1, 0.35, 2.85, 1.6), "sorted non-decreasing"),
+        ((0.1, 0.35, 1.6), "at least 4 agents"),
+        ((0.1, 0.35, 1.6, math.inf), "finite"),
+        ((math.nan, 0.1, 0.35, 1.6), "finite"),
+    ])
+    def test_rejects_disorder_short_and_non_finite(self, bad, message):
+        with pytest.raises(ValidationError, match=message):
+            gathering_time_bound(bad, WalkParams(0.1))
+
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=12),
+        epsilons_st,
+    )
+    def test_equals_the_bound_from_sorted_scalar_terms(self, values, eps):
+        # reference: the four order statistics as Python floats, d by the scalar sort
+        pos = sorted(values)
+        p = WalkParams(eps)
+        s0 = pos[-2] - pos[1] - 1.0
+        try:
+            expect = 0.0 if s0 <= 0 else gathering_bound_from_terms(
+                len(pos), s0, pos[-1] - pos[0], min_fractional_distance_sorted(pos), p)
+        except (DegenerateConfigurationError, OverflowError) as exc:
+            # a subnormal d overflows s0 / d in gathering_bound_from_terms:
+            # both routes raise alike
+            with pytest.raises(type(exc)):
+                gathering_time_bound(pos, p)
+        else:
+            assert gathering_time_bound(pos, p).hex() == expect.hex()
+            assert gathering_time_bound(np.array(pos), p).hex() == expect.hex()
 
     @given(
         st.integers(min_value=4, max_value=400),

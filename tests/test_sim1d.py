@@ -296,12 +296,12 @@ class TestGathering:
 
     @pytest.mark.parametrize("trial", range(3))
     def test_large_scale_t_below_bound(self, trial):
-        from lineswarm.rw_analytics import InitialConfiguration, gathering_time_bound
+        from lineswarm.rw_analytics import gathering_time_bound
 
         rng = np.random.default_rng(100 + trial)
         pos = np.sort(rng.uniform(0.0, 501.0, 400))
         p = WalkParams(0.1)
-        bound = gathering_time_bound(InitialConfiguration(tuple(pos), p))
+        bound = gathering_time_bound(pos, p)
         res = run_until_gathered(new_swarm(pos, p, 200 + trial), 10_000_000)
         assert res.reached
         assert res.T <= bound

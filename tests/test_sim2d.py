@@ -372,6 +372,19 @@ class TestPrefilter:
         else:
             assert calls[0][1] - calls[0][2] <= _FINE_MIN
 
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 2.0**1023],
+                             ids=["2**600", "2**-600", "2**1023"])
+    def test_huge_and_tiny_coordinates_keep_the_hull(self, scale):
+        # at 2**600 the certification terms overflow and their differences are
+        # NaN, at 2**-600 they underflow: no warning, and no point certified
+        # on such a term; the annulus takes the fine pass as well
+        for base in (np.random.default_rng(1).uniform(-1, 1, (50, 2)),
+                     _annulus(np.random.default_rng(8), 400, 0.9)):
+            pts = base * scale
+            hull = convex_hull(pts)
+            assert hull.vertices == convex_hull(base).vertices
+            assert hull == _monotone_chain(pts, range(len(pts)))
+
     @pytest.mark.parametrize(
         "points", [[(1.0,)], [(1.0, 2.0), "ab"], [(1.0, 2.0, 3.0), (0.0, 0.0)]]
     )
