@@ -254,7 +254,12 @@ def _cmd_sim2d(args) -> int:
     traj_path = out / "trajectory2d.csv"
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
         sink = row_writer(fh, Trajectory2DRow._fields)
-        rows = run2d(state, args.steps, stride=args.stride, sink=sink)
+        try:
+            rows = run2d(state, args.steps, stride=args.stride, sink=sink)
+        except OverflowError as exc:
+            raise ValidationError(
+                f"coordinates too large: overflow at t = {state.t} ({exc})"
+            ) from exc
 
     print(f"steps = {args.steps}")
     first, last = format_cell(rows[0].diameter), format_cell(rows[-1].diameter)

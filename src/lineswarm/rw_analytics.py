@@ -285,7 +285,9 @@ def gathering_bound_from_terms(
     if ratio <= 1.0 + 1e-12:
         halvings = 0
     else:
-        halvings = math.ceil(math.log2(ratio) - 1e-12)
+        # a tiny d (a subnormal one, say) overflows s0 / d, not log2(s0) - log2(d)
+        log_ratio = math.log2(ratio) if ratio < math.inf else math.log2(s0) - math.log2(d)
+        halvings = math.ceil(log_ratio - 1e-12)
     steps = n_agents * (s0 + halvings) + (total_span0 - s0 - 1.0)
     return steps / (1.0 - 2.0 * p.epsilon)
 

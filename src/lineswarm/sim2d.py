@@ -21,17 +21,19 @@ Before the exact monotone chain runs, two numpy passes drop points that
 are certified strictly inside the hull (the Akl-Toussaint heuristic).
 Each pass joins, in CCW order, the points extreme along a fixed list of
 directions into a ring, and drops every point strictly left of every ring
-edge by the static error bound that `orientation` trusts.  The coarse
-pass runs on all N points with the eight directions of the octagon (min
-and max of x, y, x + y and x - y).  The fine pass runs on the coarse
-survivors with 32 directions, but only when more than 40 survive: on
-fewer, timed against the chain alone, it does not drop enough points to
-pay for its fixed numpy cost.  Dropping is exact whatever the rounding and
-whether or not a ring is convex: a point strictly left of every edge of
-a closed ring of input points has winding number at least 1, so it lies
-strictly inside the hull, and removing it changes neither the strict
-hull nor which copy of a vertex has the lowest index.  The points live
-in one (N, 2) float64 array.
+edge by a static error bound, one per edge, that covers every rounding of
+the test (`_certified_out`).  That makes a pass one matmul of the edge
+normals with the points and one comparison; where the bound overflows,
+the pass drops nothing.  The coarse pass runs on all N points with the
+eight directions of the octagon (min and max of x, y, x + y and x - y).
+The fine pass runs on the coarse survivors with 32 directions, but only
+when more than 40 survive: on fewer, timed against the chain alone, it
+does not drop enough points to pay for its fixed numpy cost.  Dropping
+is exact whatever the rounding and whether or not a ring is convex: a
+point strictly left of every edge of a closed ring of input points has
+winding number at least 1, so it lies strictly inside the hull, and
+removing it changes neither the strict hull nor which copy of a vertex
+has the lowest index.  The points live in one (N, 2) float64 array.
 
 A trajectory row costs O(h) beyond its hull build, for h hull vertices,
 not O(N).  The state keeps each axis's exact coordinate sum as a few
@@ -128,6 +130,8 @@ def _unit(dx: float, dy: float) -> tuple[float, float]:
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise DegenerateConfigurationError("zero-length direction has no unit vector")
+    if norm == math.inf:  # a difference overflowed: dividing by it loses the direction
+        raise OverflowError("coordinate differences overflow")
     return dx / norm, dy / norm
 
 
@@ -189,31 +193,65 @@ _OCTAGON_AXES = _FINE_AXES[::4]
 _FINE_MIN = 40
 
 
-# on huge coordinates a projection, difference or term can overflow, and a
-# difference of two infinities is NaN; such a term fails the strict comparison
-# below, so the row is not certified and the exact chain decides it
+# (-dy, dx) = (dx, dy) @ _TURN_LEFT, exactly: d turned a quarter left, the
+# inward normal of a CCW edge
+_TURN_LEFT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+# where coordinates are huge the threshold overflows (see below), and numpy
+# must not warn about it
 @np.errstate(over="ignore", invalid="ignore")
 def _certified_out(pts: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``pts`` certified strictly inside their hull.
 
     The ring joins the rows extreme along each row of ``axes`` in turn,
     consecutive repeats merged.  Ties go to the lowest index and coincident
-    rows always tie, so a location enters the ring as one row.  A row is
-    certified only if it is strictly left of every ring edge by the margin
-    `orientation` trusts, which makes it interior to the hull even if the
-    ring is not convex.
+    rows always tie, so a location enters the ring as one row.  A row ``p``
+    is certified only if it is strictly left of every ring edge, which
+    makes it interior to the hull even if the ring is not convex.
+
+    Edge ``a -> b`` tests every row at once as ``fl(n . p) > t``: one matmul
+    of the normals ``n = (-dy, dx)`` of ``d = fl(b - a)``, one comparison.
+    The threshold ``t`` is ``n . a + 2**-49 S + 2**-1060`` as computed, with
+
+        S = |dx| (Y + |a_y|) + |dy| (X + |a_x|),
+
+    where X and Y are the largest ``|x|`` and ``|y|`` over the rows.  The
+    axes include +-x and +-y, so the ring holds rows that attain them.  With
+    ``u = 2**-53``, a row that passes has ``D = (b - a) x (p - a) > 0``:
+
+    - ``n . (p - a)`` is off ``D`` by at most ``1.01 u S``, as ``d`` is
+      rounded once, relatively, and ``|p - a|`` is at most ``(X + |a_x|,
+      Y + |a_y|)``;
+    - ``fl(n . p)``, a two-term dot with or without a fused multiply-add, is
+      off by at most ``2.01 u (|dy| X + |dx| Y)``;
+    - ``t`` rounds each product of ``n . a`` once and each term of ``S``
+      twice, adds them up in three roundings and adds ``2**-1060`` in a
+      fourth, so it falls short by at most ``4.1 u (|dy| |a_x| + |dx|
+      |a_y|)``, ``5.1 u`` of ``2**-49 S`` and ``u`` of ``2**-1060``.
+
+    That is at most ``5.2 u S`` against ``2**-49 S = 16 u S``.  Below the
+    normal range, sums are exact and each of the eight products errs by at
+    most ``2**-1075`` absolutely, which ``2**-1060`` covers.
+
+    Overflow: ``S`` is formed as ``2**-51`` times the two terms of ``4 S``.
+    While both are finite, ``S`` is at most ``2**1023 (1 + u)``, and no
+    exact intermediate of the dot or of ``t`` exceeds ``(1 + 2**-48) S``, so
+    nothing overflows.  Otherwise a term is inf or NaN (as it is when ``d``
+    or four times a coordinate overflows), so is ``t``, and no comparison
+    with it holds.
     """
     ext = (axes @ pts.T).argmax(axis=1).tolist()
     ring = [i for k, i in enumerate(ext) if i != ext[k - 1]]
     if len(ring) < 3:
         return np.zeros(len(pts), dtype=bool)
     r = pts[ring + ring[:1]]
-    a = r[:-1, :, None]
-    d = r[1:, :, None] - a
-    # the terms of `orientation(a, b, p)` with d = b - a, one row per edge
-    left = d[:, 0] * (pts[:, 1] - a[:, 1])
-    right = d[:, 1] * (pts[:, 0] - a[:, 0])
-    return (left - right > _CCW_ERRBOUND * (np.abs(left) + np.abs(right))).all(axis=0)
+    a = r[:-1]
+    normal = (r[1:] - a) @ _TURN_LEFT
+    # |normal| pairs |dy| with 4 (X + |a_x|) and |dx| with 4 (Y + |a_y|)
+    four = np.abs(4.0 * r)
+    terms = normal * a + np.abs(normal) * (four.max(axis=0) + four[:-1]) * 2.0**-51
+    return (normal @ pts.T > (terms.sum(axis=1) + 2.0**-1060)[:, None]).all(axis=0)
 
 
 def _monotone_chain(pts: np.ndarray, index: Sequence[int]) -> HullInfo:

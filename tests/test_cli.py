@@ -1,5 +1,6 @@
 """Command-line interface: flags, outputs, exit codes, reproducibility."""
 
+import csv
 import json
 import math
 import signal
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lineswarm import cli
+from lineswarm import cli, sim2d
 from lineswarm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from lineswarm.errors import ValidationError
 
@@ -172,6 +173,46 @@ class TestSim2d:
         lines = (tmp_path / "trajectory2d.csv").read_text().strip().split("\n")
         assert lines[0] == "t,centroid_x,centroid_y,diameter,hull_count"
         assert len(lines) >= 5
+
+    def test_points_near_two_to_the_600(self, tmp_path):
+        # tier-1 turns warnings into errors, so an overflow warning in either
+        # run would end it with an internal error
+        pts = np.random.default_rng(1).uniform(-1, 1, (50, 2))
+        rows = {}
+        for name, scaled in (("unit", pts), ("huge", pts * 2.0**600)):
+            points = ";".join(f"{x!r},{y!r}" for x, y in scaled.tolist())
+            out = tmp_path / name
+            assert run_cli("sim2d", f"--points={points}", "--epsilon", "0.1", "--seed", "3",
+                           "--steps", "3", "--out", str(out)) == EXIT_OK
+            with open(out / "trajectory2d.csv", newline="", encoding="utf-8") as fh:
+                rows[name] = list(csv.DictReader(fh))
+        assert len(rows["huge"]) == 4
+        assert rows["huge"][0]["hull_count"] == rows["unit"][0]["hull_count"]
+
+    @pytest.mark.parametrize("points", [
+        pytest.param("0,0;1e308,1e308;-1e308,1e308", id="sum"),
+        pytest.param("0,0;1e308,0;-1e308,0", id="difference"),
+    ])
+    def test_overflow_at_the_start_is_user_error(self, points, tmp_path, capsys):
+        assert run_cli("sim2d", f"--points={points}", "--epsilon", "0.1", "--seed", "1",
+                       "--steps", "3", "--out", str(tmp_path)) == EXIT_USER
+        assert "overflow at t = 0" in capsys.readouterr().err
+
+    def test_overflow_at_a_later_tick_is_user_error(self, monkeypatch, tmp_path, capsys):
+        # unit moves cannot take a finite sum past the largest double, so the
+        # third row's centroid is made to overflow as the sum at the start does
+        centroid = sim2d.SwarmState2D.centroid
+
+        def overflow_at_t2(state):
+            if state.t == 2:
+                raise OverflowError("intermediate overflow in fsum")
+            return centroid(state)
+
+        monkeypatch.setattr(sim2d.SwarmState2D, "centroid", overflow_at_t2)
+        assert run_cli("sim2d", "--n", "5", "--side", "4", "--epsilon", "0.1", "--seed", "1",
+                       "--steps", "3", "--out", str(tmp_path)) == EXIT_USER
+        assert "overflow at t = 2" in capsys.readouterr().err
+        assert len((tmp_path / "trajectory2d.csv").read_text().splitlines()) == 3
 
 
 class TestExperiment:

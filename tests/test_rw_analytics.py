@@ -353,6 +353,12 @@ class TestGatheringTimeBound:
             np.array([0.1, 0.3, 4.4, 8.7]), WalkParams(0.0)
         ) == pytest.approx(36.9)
 
+    def test_subnormal_gap_gives_a_finite_bound(self):
+        # s0 = 0.5 and s0 / d overflows; log2(s0) - log2(d) is 1024.3, so 1025
+        # halvings and (4 (0.5 + 1025) + (2.25 - 0.5 - 1)) / (1 - 0) ticks
+        d = 2.225073858507203e-309
+        assert gathering_time_bound([0.0, d, 1.5, 2.25], WalkParams(0.0)) == 4102.75
+
     def test_already_gathered_is_zero(self):
         assert gathering_time_bound((0.1, 0.2, 0.9, 5.3), WalkParams(0.1)) == 0.0
 
@@ -383,10 +389,8 @@ class TestGatheringTimeBound:
         try:
             expect = 0.0 if s0 <= 0 else gathering_bound_from_terms(
                 len(pos), s0, pos[-1] - pos[0], min_fractional_distance_sorted(pos), p)
-        except (DegenerateConfigurationError, OverflowError) as exc:
-            # a subnormal d overflows s0 / d in gathering_bound_from_terms:
-            # both routes raise alike
-            with pytest.raises(type(exc)):
+        except DegenerateConfigurationError:
+            with pytest.raises(DegenerateConfigurationError):
                 gathering_time_bound(pos, p)
         else:
             assert gathering_time_bound(pos, p).hex() == expect.hex()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lineswarm import sim2d
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
+from lineswarm.sim1d import new_swarm
 from lineswarm.sim2d import (
     _FINE_AXES,
     _FINE_MIN,
@@ -338,6 +339,30 @@ def _fine_sets(draw):
     return _augment(rng, pts, _fine_ring(pts), kind, scale, a0, near_origin)
 
 
+@st.composite
+def _offset_sets(draw):
+    """Disk or thin-annulus sets translated by +-2**k per axis, k from 10 to 50.
+
+    There an edge normal's projection rounds at the scale of the offset,
+    not of the set, so only the bound's ``|a|`` and ``|p|`` terms keep the
+    points that `_augment` pushes a few ulps out across each ring edge.  A
+    disk is augmented on the octagon's ring, an annulus on the fine ring
+    (at the larger offsets the grid of doubles leaves it too few distinct
+    points to reach the fine pass).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["disk", "annulus"]))
+    exponents = draw(st.tuples(st.integers(10, 50), st.integers(10, 50)))
+    offset = np.ldexp(rng.choice([-1.0, 1.0], 2), exponents)
+    if kind == "disk":
+        pts = _annulus(rng, int(rng.integers(20, 300)), 0.0) + offset
+        ring = _octagon_ring(pts)
+    else:
+        pts = _annulus(rng, int(rng.integers(150, 300)), 0.9) + offset
+        ring = _fine_ring(pts)
+    return _augment(rng, pts, ring, kind, 1.0, None, None)
+
+
 class TestPrefilter:
     @given(_prefilter_sets())
     @settings(max_examples=200, deadline=None)
@@ -349,6 +374,11 @@ class TestPrefilter:
     @settings(max_examples=100, deadline=None)
     def test_fine_pass_equals_unfiltered_chain(self, points):
         assert len(_octagon_survivors(np.array(points))) > _FINE_MIN
+        assert convex_hull(points) == _monotone_chain(np.array(points), range(len(points)))
+
+    @given(_offset_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_far_from_the_origin_equals_unfiltered_chain(self, points):
         assert convex_hull(points) == _monotone_chain(np.array(points), range(len(points)))
 
     @pytest.mark.parametrize(
@@ -375,9 +405,10 @@ class TestPrefilter:
     @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 2.0**1023],
                              ids=["2**600", "2**-600", "2**1023"])
     def test_huge_and_tiny_coordinates_keep_the_hull(self, scale):
-        # at 2**600 the certification terms overflow and their differences are
-        # NaN, at 2**-600 they underflow: no warning, and no point certified
-        # on such a term; the annulus takes the fine pass as well
+        # at 2**600 and 2**1023 each edge's bound overflows to inf and no point
+        # is certified, at 2**-600 the products underflow and the bound's
+        # absolute term covers them; no warning either way, and the annulus
+        # takes the fine pass as well
         for base in (np.random.default_rng(1).uniform(-1, 1, (50, 2)),
                      _annulus(np.random.default_rng(8), 400, 0.9)):
             pts = base * scale
@@ -431,6 +462,14 @@ class TestBisectors:
         assert hull.vertices == (1, 2, 0, 3)
         inward = (1 / math.sqrt(10), -3 / math.sqrt(10))
         assert bisector_direction(hull, 3) == pytest.approx(inward, abs=1e-12)
+
+    @pytest.mark.parametrize("points", [[(0, 0), (1e308, 0), (-1e308, 0)],
+                                        [(0, -1), (1.5e308, 0), (0, 1.5e308)]],
+                             ids=["difference-overflows", "length-overflows"])
+    def test_edge_longer_than_the_largest_double_raises(self, points):
+        # dividing by an infinite length would give NaN or a wrong direction
+        with pytest.raises(OverflowError, match="coordinate differences overflow"):
+            convex_hull(points)
 
     def test_single_vertex_degenerate(self):
         hull = convex_hull([(1, 1), (1, 1)])
@@ -534,6 +573,50 @@ class TestStep2D:
             cx, cy = s.centroid()
             assert cx == pytest.approx(c0[0], abs=1e-12)
             assert cy == pytest.approx(c0[1], abs=1e-12)
+
+
+class TestAxisLineIsSim1D:
+    """On a line parallel to an axis, sim2d is sim1d draw for draw.
+
+    The hull of collinear points is its two ends, which move along the line
+    by exactly one unit on dyadic inputs, and coincident points move one
+    copy, as in 1D.  The first CCW vertex is the least point, so on the x-
+    and y-axes the lower end draws first, as sim1d's left end does; on the
+    negated x-axis the 1D reference runs on the negated positions.
+    """
+
+    @given(
+        st.lists(st.integers(-40, 40), min_size=2, max_size=12),
+        st.sampled_from([0.0, 0.1, 0.3, 0.45]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(0, 1.0), (1, 1.0), (0, -1.0)]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_same_positions_every_tick(self, eighths, eps, seed, axis):
+        along, sign = axis
+        line = sign * np.array(eighths) / 8.0
+        pts = np.zeros((len(line), 2))
+        pts[:, along] = line
+        s1, s2 = new_swarm(line, eps, seed), new_swarm2d(pts, eps, seed)
+        for _ in range(60):
+            xy = np.array(s2.points)
+            assert tuple(np.sort(xy[:, along]).tolist()) == s1.positions
+            assert not xy[:, 1 - along].any()
+            assert s2.centroid()[along] == s1.centroid()
+            if s1.total_span == 0.0:
+                break  # from here the conventions differ
+            s1.advance(1)
+            step2d(s2)
+
+    def test_all_coincident_moves_in_1d_but_not_in_2d(self):
+        # 1D moves one agent as the left end and one as the right; in 2D a
+        # single location has no hull edge to move along
+        s1 = new_swarm([0.5] * 3, 0.0, 1)
+        s1.advance(1)
+        assert s1.positions == (-0.5, 0.5, 1.5)
+        s2 = new_swarm2d([(0.5, 0.0)] * 3, 0.0, 1)
+        step2d(s2)
+        assert s2.points == ((0.5, 0.0),) * 3
 
 
 class TestRun2D:
