@@ -38,10 +38,11 @@ class DrawPool:
     short trial fetches few more uniforms than it uses.  The next draw is
     ``block[i]``.  A hot loop reads ``block`` and ``i`` directly, calls
     `refill` when ``i`` reaches the end of the block, and stores ``i``
-    back.  A numpy reader takes the draws ahead as one array with `ahead`,
-    then says with `consume` how many it read.  The pool keeps every draw
-    it fetched and has not handed out, so the generator may run up to one
-    pass of such a reader ahead of the pool; nothing else reads it.
+    back.  A numpy reader takes the next draws as one array with `ahead`,
+    which fetches what the pool lacks in one generator call of at least a
+    block, then says with `consume` how many it read.  The pool keeps every
+    draw it fetched and has not handed out, so the generator may run up to
+    one pass of such a reader ahead of the pool; nothing else reads it.
     """
 
     __slots__ = ("_rng", "block", "i", "_size", "_array", "_next")
@@ -54,8 +55,10 @@ class DrawPool:
         # ``block`` as an array, and the draws fetched after it
         self._array = self._next = np.empty(0)
 
-    def _fetch(self) -> np.ndarray:
-        block = self._rng.random(self._size)
+    def _fetch(self, count: int = 0) -> np.ndarray:
+        """The next ``max(count, size)`` draws from the generator, for a
+        block ``size`` that doubles with each call up to ``_MAX_BLOCK``."""
+        block = self._rng.random(max(count, self._size))
         self._size = min(2 * self._size, _MAX_BLOCK)
         return block
 
@@ -69,17 +72,17 @@ class DrawPool:
         return self.block
 
     def ahead(self, count: int) -> np.ndarray:
-        """The draws from the next one on: the first ``count``, or, when it
-        must fetch whole blocks to hold that many, all it holds, at most
-        one block more.  `consume` says how many were read."""
-        draws = [self._array[self.i :], self._next]
-        held = draws[0].size + draws[1].size
-        while held < count:
-            draws.append(self._fetch())
-            held += draws[-1].size
-        self._next = np.concatenate(draws)
-        self.i = len(self.block)  # the block's rest now leads ``_next``
-        return self._next if len(draws) > 2 else self._next[:count]
+        """The next ``count`` draws, as one array; `consume` says how many
+        were read."""
+        rest = self._array[self.i :]
+        short = count - rest.size - self._next.size
+        if rest.size or short > 0:
+            parts = [part for part in (rest, self._next) if part.size]
+            if short > 0:
+                parts.append(self._fetch(short))
+            self._next = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self.i = len(self.block)  # the block's rest now leads ``_next``
+        return self._next[:count]
 
     def consume(self, count: int) -> None:
         """Hand out the first ``count`` draws from `ahead`."""

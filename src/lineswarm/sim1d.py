@@ -92,6 +92,17 @@ the trajectory rows before T: ``x_2`` and ``x_{N-1}``, each extreme as its
 end's closure entry P less D units, and the centroid from the turn-backs,
 ``(t - X_t)/2`` at each end.  Its memory is O(N + T).
 
+The jump runs in numpy passes over the draws ahead, and each pass needs
+the two ends' closures listed as far as its phases reach.  Both are
+sized from the start: the ends meet near the mean position, after about
+``P = sum(|x - mean|)/2`` inward moves each, and an end's phase grows by
+``1 - 2*epsilon`` a tick.  So the passes take the draws of the ticks that
+P and two standard deviations of the walk need, in equal passes of at
+most ``_JUMP_CAP`` draws, and the first listing covers P and four
+standard deviations.  Nearly every run gathers within them, with one
+listing per end; a run that does not goes on in passes of twice as many
+draws and lists its ends anew, at least twice as far.
+
 After gathering, `sample_total_spans` runs a bilateral swarm of one
 block by table lookups.  The dynamics commute with adding one integer to
 every key (a move is ``+-N`` and every test compares keys), so a swarm is
@@ -160,8 +171,9 @@ _WALK_STEP_CAP = 1_000_000_000
 # keys per block of the 1D state: a block holds at most 2*_BLOCK keys, and
 # cutting keeps end blocks at >= 3 keys only while _BLOCK >= 3
 _BLOCK = 512
-# draws in the first numpy pass of the gathering jump, and the most in one
-_JUMP_DRAWS = 2048
+# draws the gathering jump adds to two a tick for the ticks it expects,
+# and the most in one numpy pass
+_JUMP_DRAWS = 32
 _JUMP_CAP = 32768
 # draws in one pass of `sample_total_spans`: its arrays add to the
 # process's peak memory
@@ -537,120 +549,154 @@ def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:
     )
 
 
-class _InwardEnd:
-    """One end's inward-only moves, from sorted ``keys`` with this end first.
+class _InwardEnds:
+    """Both ends' inward-only moves, from the sorted ``keys``.
 
-    ``second[P]`` is ``x_2`` after P inward moves, at any depth.  The
-    popped keys are the closure ``{key + j*N}`` in sorted order: first the
-    ``lone`` levels below the second agent's cell, where only ``keys[0]``
-    moves and ``x_2`` stays ``keys[1]``, then, from that cell on, each
-    level's keys in rank order.  There every level holds two agents or
-    more, and between an agent's entries at two levels lies an entry of
-    each other agent; so the next entry is always another agent's, and
-    ``x_2`` at entry q is entry q+1.
+    Row 0 of each array here is the left end; row 1 is the right end,
+    which works on the keys' mirror image: negated, in reverse order.  An
+    end's popped keys are the closure ``{key + j*N}`` of its keys in
+    sorted order: level by level, each level's keys in rank order.  Below
+    the second agent's cell lie ``lone`` levels where only the first agent
+    moves and ``x_2`` stays the second key.  From that cell on every level
+    holds two agents or more, and between an agent's entries at two levels
+    lies an entry of each other agent; so the next entry is always another
+    agent's, and ``x_2`` at entry q is entry q+1.  ``second[e, P]`` is end
+    e's ``x_2`` after P inward moves, at any depth: entry P+1, or the
+    second key while that is larger.
     """
 
-    __slots__ = ("n", "keys", "lone", "second")
+    __slots__ = ("n", "keys", "ends", "lone", "reach", "second")
 
-    def __init__(self, keys: np.ndarray, n: int) -> None:
-        self.n, self.keys = n, keys
-        self.lone = int(keys[1] // n - keys[0] // n)
-        self.second = np.empty(0, np.int64)
+    def __init__(self, keys: np.ndarray, n: int, reach: int) -> None:
+        """The first listing covers ``reach`` phases or more."""
+        self.n, self.keys, self.reach = n, keys, reach
+        self.ends = [keys[:2].tolist(), (-keys[:-3:-1]).tolist()]  # each end's first two keys
+        self.lone = [second // n - first // n for first, second in self.ends]
+        self.second = np.empty((2, 0), np.int64)
 
     def seconds(self, phase: np.ndarray) -> np.ndarray:
-        need = int(phase[-1]) + 1  # phases never fall
-        if need > self.second.size:
-            self._grow(max(need, 2 * self.second.size))
-        return self.second[phase]
-
-    def entries(self, phase: np.ndarray) -> np.ndarray:
-        """The closure's entry at each listed ``phase``: the end agent's key
-        at depth 0.  Up to ``lone`` it is ``keys[0]`` moved ``phase`` units,
-        or ``keys[1]`` where that passes it; after, the x_2 of one phase
-        before."""
-        got = np.minimum(self.keys[0] + phase * self.n, self.keys[1])
-        later = phase > self.lone
-        got[later] = self.second[phase[later] - 1]
+        """``second`` at each phase of a row per end; phases never fall
+        along a row."""
+        size = self.second.shape[1]
+        need = max(phase[:, -1].tolist()) + 1
+        if need > size:
+            self._grow(max(need, 2 * size, self.reach))
+        got = np.empty_like(phase)
+        for row, listed, at in zip(got, self.second, phase):
+            listed.take(at, out=row)
         return got
 
+    def entries(self, phase: np.ndarray) -> np.ndarray:
+        """The closure's entry at each phase of a row per end: the end
+        agent's key at depth 0.  Up to ``lone`` it is the first key moved
+        ``phase`` units, or the second key where that passes it; after,
+        the ``x_2`` of one phase before (at phase 0, index -1 reads a value
+        that is not picked)."""
+        ends = np.array(self.ends)
+        first = ends[:, :1] + phase * self.n
+        np.minimum(first, ends[:, 1:], out=first)
+        later = np.take_along_axis(self.second, phase - 1, axis=1)
+        return np.where(phase > np.array(self.lone)[:, None], later, first)
+
     def _grow(self, size: int) -> None:
-        """List entries anew until ``second`` covers ``size`` phases."""
-        n, keys, lone = self.n, self.keys, self.lone
+        """List both ends' closures anew until ``second`` covers ``size``
+        phases: entries 0 to ``size``."""
+        n, keys = self.n, self.keys
         self.second = None  # the old listing goes before the new one is built
-        if size <= lone:
-            self.second = np.full(size, keys[1])
-            return
-        want = size - lone + 1
-        # agent a lists levels start[a] = max(cell[a], cell[1]) up to top - 1.
-        # The first m agents, listed up to the next one's start, give
-        # m*start[m] - sum(start[:m]) entries, which never falls as m grows.
-        # N can be 10^5, so the starts are summed in place, and each start
-        # is read back as a difference of two sums
-        total = keys // n
-        np.maximum(total, total[1], out=total)
-        np.cumsum(total, out=total)
-        m = bisect_left(
-            range(1, n), want, key=lambda m: m * int(total[m]) - (m + 1) * int(total[m - 1])
-        ) + 1
-        top = -(-(want + int(total[m - 1])) // m)
-        del total
-        counts = keys[:m] // n
-        np.subtract(top, counts, out=counts)
-        counts[0] -= lone
-        # agent a's entries are keys[a] + j*N from level start[a] on, and
-        # agent 0 starts ``lone`` levels above its own
-        base = np.cumsum(counts)
-        base -= counts
-        base *= -n
-        base += keys[:m]
-        base[0] += lone * n
+        # agent a lists levels cell[a] up to top - 1.  The first m agents,
+        # listed up to the next one's cell, give m*cell[m] - sum(cell[:m])
+        # entries, which never falls as m grows.  N can be 10^5, so the
+        # cells are summed in place, and each is read back as a difference
+        # of two sums
+        sums = np.empty(n, np.int64)
+        tops, used = [], 2
+        # floor(key / -N), taken in reverse order, is the right end's cells
+        for row, step in ((keys, n), (keys[::-1], -n)):
+            np.floor_divide(row, step, out=sums)
+            np.cumsum(sums, out=sums)
+            m = bisect_left(
+                range(1, n), size + 1, key=lambda m: m * int(sums[m]) - (m + 1) * int(sums[m - 1])
+            ) + 1
+            tops.append([-(-(size + 1 + int(sums[m - 1])) // m)])
+            used = max(used, m)
+        del sums
+        # agent a's entries are its key + j*N up to level top - 1, none past
+        # m: each is its agent's key less N times the index of the agent's
+        # first entry, plus N times its own index
+        base = np.empty((2, used), np.int64)
+        base[0] = keys[:used]
+        np.negative(keys[: -used - 1 : -1], out=base[1])
+        counts = base // n
+        np.subtract(tops, counts, out=counts)
+        np.maximum(counts, 0, out=counts)
+        counts, base = counts.ravel(), base.ravel()
+        first = np.cumsum(counts)
+        first -= counts
+        split = int(first[used])  # the left end's entries
+        first *= n
+        base -= first
+        del first
         vals = np.repeat(base, counts)
         del base, counts
         vals += np.arange(0, vals.size * n, n)
-        vals.sort()
-        self.second = np.concatenate((np.full(lone, keys[1]), vals[1:]))
+        vals[:split].sort()
+        vals[split:].sort()
+        self.second = second = np.empty((2, size), np.int64)
+        (_, left), (_, right) = self.ends  # each end's second key
+        np.maximum(vals[1 : size + 1], left, out=second[0])
+        np.maximum(vals[split + 1 : split + size + 1], right, out=second[1])
 
-    def moves(self, phase: int, depth: int) -> np.ndarray:
-        """Each agent's inward units after ``phase`` inward moves at ``depth``.
+    def move(self, phase: list[int], depth: list[int]) -> None:
+        """Move ``keys`` by each end's ``phase`` inward moves at ``depth``.
 
-        Entry ``phase`` of the closure, ``v``, is the next to pop: each
-        agent has popped its entries below ``v``, and the agents with an
-        entry at ``v`` (equal keys) popped it as far as ``phase`` reaches,
-        taken in agent order; the next of them is the end agent, out at
-        ``depth``."""
+        Entry ``phase`` of an end's closure, ``v``, is the next to pop:
+        each agent at or below ``v``, in that end's order, has popped its
+        entries below it, ``ceil((v - key)/N)`` of them, and of the agents
+        with an entry at ``v``, as many as ``phase`` reaches popped it and
+        the next is the end agent, out at ``depth``.  Those agents share a
+        rank, so which of them popped makes no odds to the keys.  Both ends
+        read the keys before either moves them."""
         n, keys = self.n, self.keys
-        v = int(self.entries(np.array([phase]))[0])
-        units = np.subtract(v + n - 1, keys)
-        np.maximum(units, 0, out=units)
-        units //= n
-        # the agents at v: keys up to v that lie whole units below it
-        tied = np.subtract(v, keys[: np.searchsorted(keys, v, "right")])
-        tied %= n
-        tied = np.flatnonzero(tied == 0)
-        popped = phase - int(units.sum())
-        units[tied[:popped]] += 1
-        units[tied[popped]] -= depth
-        return units
+        v = [
+            min(first + p * n, second) if p <= lone else int(listed[p - 1])
+            for (first, second), p, lone, listed in zip(self.ends, phase, self.lone, self.second)
+        ]
+        # the agents at or below v: a head of the keys on the left, and a
+        # tail on the right, where each key's mirror image is -key
+        head, tail = np.searchsorted(keys, v[0], "right"), np.searchsorted(keys, -v[1])
+        gaps = v[0] + n - 1 - keys[:head], v[1] + n - 1 + keys[tail:]
+        moved = []
+        for gap, p, out in zip(gaps, phase, depth):
+            units, part = np.divmod(gap, n)
+            popped = p - int(units.sum())
+            if popped or out:
+                at_v = np.flatnonzero(part == n - 1)  # whole units below v
+                units[at_v[:popped]] += 1
+                units[at_v[popped]] -= out
+            units *= n
+            moved.append(units)
+        keys[:head] += moved[0]
+        keys[tail:] -= moved[1]
 
 
-def _jump_rows(state, ends, x, p, low, high, t, ticks, stride, sink) -> None:
+def _jump_rows(state, ends, x, p, seconds, t, ticks, stride, sink) -> None:
     """Emit the rows at stride multiples among a jump pass's first ``ticks``
-    ticks, from its arrays: column j of ``x``, ``p``, ``low`` and ``high``
-    is the state ``t + j`` ticks into the jump, as `_jump_to_gathering`
-    holds it.  Each double is the ``table[rank] + cell`` of `_at`."""
+    ticks, from its arrays: column j of ``x``, ``p`` and ``seconds`` is the
+    state ``t + j`` ticks into the jump, as `_jump_to_gathering` holds it.
+    Each double is the ``table[rank] + cell`` of `_at`."""
     t += state.t
     at = np.arange(stride - t % stride, ticks + 1, stride)
     if not at.size:
         return
     n, double = state._n, state._doubles
-    (walk_left, walk_right), (phase_left, phase_right) = x[:, at], p[:, at]
-    lo = ends[0].entries(phase_left) - (phase_left - walk_left) * n
-    hi = (phase_right - walk_right) * n - ends[1].entries(phase_right)
-    x_min, x_max = double(lo), double(hi)
-    core = double(-high[at]) - double(low[at])
+    walk, phase = x[:, at], p[:, at]
+    # each end's extreme agent: its closure entry, ``phase - walk`` units out
+    extreme = ends.entries(phase) - (phase - walk) * n
+    x_min, x_max = double(extreme[0]), double(-extreme[1])
+    core = double(-seconds[1, at]) - double(seconds[0, at])
     # centroid moves: 2*(right - left) turn-backs, each end's being (t - X)/2
     left, right, _ = state._backs
-    moves = walk_left - walk_right + 2 * (right - left)
+    moves = walk[0] - walk[1] + 2 * (right - left)
     total = state._sum
     for tick, move, core_span, x1, xn in zip(
         range(t + int(at[0]), t + ticks + 1, stride),
@@ -660,6 +706,25 @@ def _jump_rows(state, ends, x, p, low, high, t, ticks, stride, sink) -> None:
         x_max.tolist(),
     ):
         sink(TrajectoryRow(tick, math.fsum(total + (move,)) / n, core_span, xn - x1, x1, xn))
+
+
+def _gathering_estimate(keys: np.ndarray, n: int, eps: float) -> tuple[int, int]:
+    """The phases the gathering jump lists at first and the ticks its
+    passes take at first, from the sorted ``keys``.
+
+    Below a level L the left end's closure holds ``sum(max(0, L - x))``
+    entries, and above it the right end's ``sum(max(0, x - L))``: the two
+    are equal at the mean position.  So the ends meet after about ``P =
+    sum(|x - mean|)/2`` inward moves each.  An end's phase grows by ``1 -
+    2*eps`` a tick, give or take ``s``, the standard deviation of the walk
+    over ``P/(1 - 2*eps)`` ticks.  The listing covers ``P + 4*s`` phases,
+    and the passes take the ticks of ``P + 2*s`` inward moves.
+    """
+    spread = keys - keys.sum(dtype=float) / n
+    moves = float(np.abs(spread, out=spread).sum()) / (2.0 * n)
+    drift = 1.0 - 2.0 * eps
+    sd = math.sqrt(4.0 * eps * (1.0 - eps) * moves / drift)
+    return int(moves + 4.0 * sd), int((moves + 2.0 * sd) / drift)
 
 
 def _jump_to_gathering(
@@ -672,62 +737,66 @@ def _jump_to_gathering(
 
     Leaves the state, the pool and every tally as `SwarmState1D.advance`
     with ``until_gathered`` would; the module docstring gives the method.
-    Each pass reads the pool's draws ahead, ``_JUMP_DRAWS`` at first and
-    twice as many each pass after, up to ``_JUMP_CAP``.  The state is
-    built once, at the last tick run: the tick that gathers, that moves a
-    core edge outward (raised, as `advance` raises), or ``max_steps``.  If
-    that tick leaves the swarm apart, the caller goes on with `advance`.
-    With a ``sink``, each pass emits its rows at stride multiples, but not
-    the last tick's, which the caller emits; a sink that raises leaves the
-    state built at the end of that pass.
+    Each pass reads the pool's draws ahead.  The first passes share two
+    draws a tick for the ticks `_gathering_estimate` expects, plus
+    ``_JUMP_DRAWS``, equally, at most ``_JUMP_CAP`` each; each pass after
+    them reads twice as many as the one before, at most ``_JUMP_CAP``.
+    The state is built once, at the last tick run: the tick that gathers,
+    that moves a core edge outward (raised, as `advance` raises), or
+    ``max_steps``.  If that tick leaves the swarm apart, the caller goes on
+    with `advance`.  With a ``sink``, each pass emits its rows at stride
+    multiples, but not the last tick's, which the caller emits; a sink that
+    raises leaves the state built at the end of that pass.
     """
     n, pool = state._n, state._pool
     keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)
     state._blocks = []  # N Python ints: the passes need only ``keys``
-    ends = _InwardEnd(keys, n), _InwardEnd(-keys[::-1], n)  # right end: negated keys
-    keep = 1.0 - state.params.epsilon
-    walk = np.zeros(2, np.int64)  # X of the left and right end before the next tick
-    phase = np.zeros(2, np.int64)
+    eps = state.params.epsilon
+    keep = 1.0 - eps
+    reach, ticks = _gathering_estimate(keys, n, eps)
+    ends = _InwardEnds(keys, n, min(reach, max_steps))
+    draws = 2 * ticks + _JUMP_DRAWS
+    planned = -(-draws // _JUMP_CAP)  # passes that share them
+    want = 2 * -(-draws // (2 * planned))  # draws a pass
+    walk = phase = (0, 0)  # X and P of the left and right end before the next tick
     t = both = 0
-    want = _JUMP_DRAWS
     try:
         while t < max_steps:
             src = pool.ahead(min(want, 2 * (max_steps - t)))
-            want = min(2 * want, _JUMP_CAP)
-            ticks = min(src.size // 2, max_steps - t)
-            back = src[: 2 * ticks].reshape(ticks, 2).T >= keep  # rows: left, right
-            x = np.empty((2, ticks + 1), np.int64)
-            x[:, 0] = walk
-            np.subtract(1, 2 * back, out=x[:, 1:])
-            np.cumsum(x, axis=1, out=x)
+            planned -= 1
+            if planned <= 0:
+                want = min(2 * want, _JUMP_CAP)
+            ticks = src.size // 2
+            back = src[: 2 * ticks].reshape(ticks, 2) >= keep  # columns: left, right
+            x = np.empty((ticks + 1, 2), np.int64)
+            np.multiply(back, -2, out=x[1:])
+            x[1:] += 1
+            x[0] = walk
+            np.cumsum(x, axis=0, out=x)
+            x = x.T.copy()  # rows: left, right
+            x[:, 0] = phase  # leads the running maximum; column 0 is read no more
             p = np.maximum.accumulate(x, axis=1)
-            np.maximum(p, phase[:, None], out=p)
             # x_2 and -x_{N-1} before the pass, then after each tick
-            low, high = ends[0].seconds(p[0]), ends[1].seconds(p[1])
-            stop = np.flatnonzero(
-                (low[1:] + high[1:] >= -n) | (low[1:] < low[:-1]) | (high[1:] < high[:-1])
-            )
+            seconds = ends.seconds(p)
+            low, high = seconds
+            stop = low[1:] + high[1:] >= -n
+            stop |= (seconds[:, 1:] < seconds[:, :-1]).any(axis=0)
+            stop = np.flatnonzero(stop)
             ran = int(stop[0]) + 1 if stop.size else ticks
             pool.consume(2 * ran)
-            both += int(np.count_nonzero(back[0, :ran] & back[1, :ran]))
+            both += int(np.count_nonzero(back[:ran, 0] & back[:ran, 1]))
             x2, xp = int(low[ran - 1]), -int(high[ran - 1])  # before the last tick
             t += ran
-            # copies, so that this pass's arrays go with it
-            walk, phase = x[:, ran].copy(), p[:, ran].copy()
+            walk, phase = x[:, ran].tolist(), p[:, ran].tolist()
             if sink is not None:
                 final = stop.size or t == max_steps
-                _jump_rows(state, ends, x, p, low, high, t - ran, ran - 1 if final else ran,
+                _jump_rows(state, ends, x, p, seconds, t - ran, ran - 1 if final else ran,
                            stride, sink)
-            del x, p, low, high
+            del x, p, seconds, low, high
             if stop.size:
                 break
     finally:
-        left, right = (end.moves(int(ph), int(ph - x)) for end, ph, x in zip(ends, phase, walk))
-        left -= right[::-1]
-        del right
-        left *= n
-        keys += left
-        del left
+        ends.move(phase, [p - x for p, x in zip(phase, walk)])
         keys.sort()
         state._blocks = blocks = [block.tolist() for block in _cut(keys)]
         state._tops = [block[-1] for block in blocks[1:-1]]
@@ -735,8 +804,8 @@ def _jump_to_gathering(
         # each end's X counts inward ticks less turn-backs
         left_backs, right_backs, both_backs = state._backs
         state._backs = (
-            left_backs + (t - int(walk[0])) // 2,
-            right_backs + (t - int(walk[1])) // 2,
+            left_backs + (t - walk[0]) // 2,
+            right_backs + (t - walk[1]) // 2,
             both_backs + both,
         )
         x2_after, xp_after = blocks[0][1], blocks[-1][-2]

@@ -16,6 +16,9 @@ lowest-index copy moves.
 Orientation tests use a floating-point filter with an exact rational
 fallback (floats are exact rationals, so `fractions.Fraction` settles
 every sign), making hull membership independent of evaluation order.
+Before the fallback, a product with a zero difference factor, as on
+points that share a coordinate, is settled by the signs of the other
+product's factors.
 
 Before the exact monotone chain runs, two numpy passes drop points that
 are certified strictly inside the hull (the Akl-Toussaint heuristic).
@@ -92,6 +95,19 @@ def orientation(a, b, c) -> int:
         return 1
     if -det > bound:
         return -1
+    return _exact_orientation(a, b, c, d1, d2, d3, d4)
+
+
+def _exact_orientation(a, b, c, d1, d2, d3, d4) -> int:
+    """`orientation` where the float filter cannot tell, from the float
+    differences ``d1 d2 - d3 d4`` and the exact points."""
+    # with gradual underflow a difference of doubles is 0.0 only when they
+    # are equal, and rounding and overflow keep its sign: so a product with
+    # a zero factor is exactly 0, and the other's sign is its factors'
+    if not (d1 and d2):
+        return -_sign(d3) * _sign(d4)
+    if not (d3 and d4):
+        return _sign(d1) * _sign(d2)
     det_exact = (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1])) - (
         Fraction(b[1]) - Fraction(a[1])
     ) * (Fraction(c[0]) - Fraction(a[0]))
@@ -100,6 +116,10 @@ def orientation(a, b, c) -> int:
     if det_exact < 0:
         return -1
     return 0
+
+
+def _sign(x: float) -> int:
+    return (x > 0) - (x < 0)
 
 
 class Trajectory2DRow(NamedTuple):

@@ -6,8 +6,9 @@ benchmark run: series sums to check closed forms against, the absorbing
 chain in exact rational arithmetic, a half-shrink bound, the ratio power
 and the smallest fractional distance by scalar loops, the fractional
 parts and the variance of a 1D swarm, the bisector at one planar hull
-vertex, the planar centroid and hull diameter by direct sums and loops,
-and a one-draw-at-a-time reader of a `DrawPool`.
+vertex, the planar orientation in exact rational arithmetic, the planar
+centroid and hull diameter by direct sums and loops, and a
+one-draw-at-a-time reader of a `DrawPool`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "hull_diameter_pairs",
     "metrics",
     "min_fractional_distance_sorted",
+    "orientation_exact",
     "ratio_power_loop",
     "reflected_chain_mean_series",
     "take",
@@ -235,6 +237,13 @@ def bisector_direction(hull: HullInfo, vertex_index: int) -> tuple[float, float]
             "a single-vertex hull has no bisector direction"
         )
     return b
+
+
+def orientation_exact(a, b, c) -> int:
+    """Sign of the cross product (b - a) x (c - a), in `Fraction`s."""
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in (a, b, c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
 
 
 def centroid_fsum(points) -> tuple[float, float]:

@@ -396,3 +396,19 @@ class TestConsoleScript:
         proc = subprocess.run([*command, str(tmp_path / "none")], capture_output=True, text=True)
         assert proc.returncode == EXIT_USER
         assert "missing.txt" in proc.stderr
+
+    def test_wide_list_from_a_file_gathers(self, tmp_path, capsys):
+        # the wide benchmark's list size, 10^5 positions read from an @FILE,
+        # run to gathering: the last row is at the printed T, gathered
+        cells = np.random.default_rng(5).integers(0, int(3.5 * 2**20), 100_000)
+        args = tmp_path / "args.txt"
+        positions = ",".join(map(repr, (cells * 2.0**-20).tolist()))
+        args.write_text(f"--positions\n{positions}\n", encoding="utf-8")
+        code = run_cli("sim1d", f"@{args}", "--epsilon", "0.1", "--seed", "3",
+                       "--stride", "100", "--out", str(tmp_path / "run"))
+        assert code == EXIT_OK
+        t = int(capsys.readouterr().out.split("T = ")[1].split()[0])
+        with open(tmp_path / "run" / "trajectory.csv", newline="", encoding="utf-8") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert int(last["t"]) == t
+        assert float(last["core_span"]) <= 1.0

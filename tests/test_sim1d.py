@@ -1,11 +1,13 @@
 """State-machine semantics, conservation laws, and walk simulators."""
 
+import json
 import math
 from bisect import insort
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from lineswarm import sim1d
 from lineswarm.errors import InvariantViolationError, ValidationError
-from lineswarm.experiments import uniform_start
+from lineswarm.experiments import ExperimentSpec, uniform_start
 from lineswarm.seeding import DrawPool, child_seed
 from lineswarm.rw_analytics import (
     WalkParams,
@@ -46,6 +48,7 @@ lattice_positions = st.lists(
 
 epsilons_st = st.floats(min_value=0.0, max_value=0.45)
 modes_st = st.sampled_from([BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
@@ -84,6 +87,37 @@ def dyadic_start(n, span, seed):
     """``n`` seeded positions on the 2**-20 grid in ``[0, span)``."""
     cells = np.random.default_rng(seed).integers(0, int(span * 2**20), n)
     return (cells * 2.0**-20).tolist()
+
+
+@contextmanager
+def pool_reads():
+    """Record the count of each `DrawPool.ahead` call inside the block: one
+    a numpy pass of the gathering jump."""
+    counts, ahead = [], DrawPool.ahead
+
+    def recorded(pool, count):
+        counts.append(count)
+        return ahead(pool, count)
+
+    DrawPool.ahead = recorded
+    try:
+        yield counts
+    finally:
+        DrawPool.ahead = ahead
+
+
+# at epsilon = 0.45 these three seeds gather after the first jump pass ends,
+# at t = 571 from this start: the sizing's estimate falls short for them
+SHORT_START = dyadic_start(12, 20.0, 9)
+SHORT_SEEDS = (0, 85, 133)
+
+
+def first_pass_ticks(start, eps, seed):
+    """The ticks of the gathering jump's first pass from a fresh pool, and
+    the gathering tick."""
+    with pool_reads() as counts:
+        res = run_until_gathered(new_swarm(start, eps, seed), 10**6)
+    return counts[0] // 2, res.T
 
 
 class TestConstruction:
@@ -468,7 +502,7 @@ class TestDeterminism:
     def test_draws_read_ahead_match_draw(self, seed, bits, reads):
         # any interleaving of the pool's two readers and the one-at-a-time
         # `take` hands out the draws of one `random` call, in order; `ahead`
-        # returns at least the draws asked for and at most one block more
+        # returns the draws asked for
         pool, got = DrawPool(np.random.Generator(bits(seed))), []
         for how, count, frac in reads:
             if how == "draw":
@@ -483,7 +517,7 @@ class TestDeterminism:
                 pool.i = i
             else:
                 src = pool.ahead(count)
-                assert count <= src.size < count + 4096
+                assert src.size == count
                 used = int(frac * src.size)
                 got += src[:used].tolist()
                 pool.consume(used)
@@ -671,22 +705,22 @@ class TestAdvance:
             self.test_gathering_rows_match_tick_loop()
 
     def test_gathering_rows_at_the_first_pass_boundary(self):
-        # from a fresh pool the first jump pass ends at t = 2040, so these
-        # runs stop just before, at and after that pass's last tick: its row
-        # comes from the arrays when a pass follows, and from the final state
-        # only, once, when the run stops there
-        start = dyadic_start(40, 100.0, 9)
-        for seed in range(10):
-            s = new_swarm(start, 0.45, seed)
+        # runs that stop just before, at and after the first jump pass's last
+        # tick: its row comes from the arrays when a pass follows, and from
+        # the final state only, once, when the run stops there
+        for seed in SHORT_SEEDS:
+            boundary, gathering = first_pass_ticks(SHORT_START, 0.45, seed)
+            assert boundary + 6 < gathering
+            s = new_swarm(SHORT_START, 0.45, seed)
             every = [metrics_row(s)]  # the row after each tick
-            while s.t < 2046 and not s.gathered:
+            while s.t < boundary + 6:
                 s.advance(1)
                 every.append(metrics_row(s))
-            for max_steps in range(2036, 2047):
+            for max_steps in range(boundary - 4, boundary + 7):
                 done = every[: max_steps + 1]
                 for stride in (1, 2):
                     rows = []
-                    res = run_until_gathered(new_swarm(start, 0.45, seed), max_steps,
+                    res = run_until_gathered(new_swarm(SHORT_START, 0.45, seed), max_steps,
                                              sink=rows.append, stride=stride)
                     want = done[::stride]
                     if (len(done) - 1) % stride:
@@ -834,6 +868,14 @@ jump_starts = st.one_of(
 )
 
 
+def high_at_start(ends, phase, seconds=sim1d._InwardEnds.seconds):
+    """`_InwardEnds.seconds` with the left end's x_2 one unit too high at
+    phase 0."""
+    got = seconds(ends, phase)
+    got[0] += ends.n * (phase[0] == 0)
+    return got
+
+
 class TestGatheringJump:
     @staticmethod  # no instance, so the small-block run below can call it too
     @given(jump_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 60),
@@ -879,16 +921,35 @@ class TestGatheringJump:
             assert jump_outcome(jumped) == jump_outcome(stepped)
 
     def test_passes_split_inside_excursions(self):
-        # from a fresh pool the first numpy pass ends at t = 2040 (blocks of
-        # 16 to 2048 draws); at epsilon = 0.45 most ends are mid-excursion
-        # there, so the ticks after it read the phase carried across passes
-        start = dyadic_start(40, 100.0, 9)
-        for seed in range(10):
-            for max_steps in range(2036, 2047):
+        # max_steps around the end of the first numpy pass; at epsilon = 0.45
+        # most ends are mid-excursion there, so the ticks after it read the
+        # phase carried across passes.  The first starts gather after that
+        # pass; the second ones may gather inside it
+        starts = [(SHORT_START, seed) for seed in SHORT_SEEDS]
+        starts += [(dyadic_start(40, 100.0, 9), seed) for seed in range(3)]
+        for start, seed in starts:
+            boundary, gathering = first_pass_ticks(start, 0.45, seed)
+            assert (boundary < gathering) == (start is SHORT_START)
+            for max_steps in range(boundary - 4, boundary + 7):
                 jumped, stepped = new_swarm(start, 0.45, seed), new_swarm(start, 0.45, seed)
                 run_until_gathered(jumped, max_steps)
                 stepped.advance(max_steps, until_gathered=True)
                 assert jump_outcome(jumped) == jump_outcome(stepped)
+
+    def test_sweep_trials_take_one_pass(self):
+        # the first pass is sized from the start, so the first 50 trials of
+        # the N = 200 grid point of configs/convergence_vs_n.json take at
+        # most 1.1 passes a trial
+        config = json.loads((CONFIGS / "convergence_vs_n.json").read_text(encoding="utf-8"))
+        spec = ExperimentSpec.from_dict(config)
+        (eps,), (s0,) = spec.epsilons, spec.initial_spans
+        first = spec.agent_counts.index(200) * spec.trials
+        with pool_reads() as counts:
+            for flat in range(first, first + 50):
+                start = uniform_start(spec.seed, "convergence-init", flat, 200, s0)
+                state = new_swarm(start, eps, child_seed(spec.seed, "convergence-dyn", flat))
+                assert run_until_gathered(state, spec.max_steps).reached
+        assert len(counts) <= 1.1 * 50
 
     def test_jump_matches_advance_on_mt19937(self):
         start = dyadic_start(30, 20.0, 4)
@@ -923,17 +984,10 @@ class TestGatheringJump:
         # an x_2 reported one unit too high at phase 0 falls back on the left
         # end's first inward move: the jump raises there, with the state,
         # the pool and the tallies of that tick
-        seconds = sim1d._InwardEnd.seconds
-
-        def high_at_start(end, phase):
-            got = seconds(end, phase)
-            return got + end.n * ((phase == 0) & (end.keys[0] == lowest))
-
         start = [0.0, 0.5, 9.0, 20.0, 30.25]
         jumped = new_swarm(start, 0.45, 14)
         jumped.advance(5)  # the pool mid-block
-        lowest = jumped._blocks[0][0]
-        monkeypatch.setattr(sim1d._InwardEnd, "seconds", high_at_start)
+        monkeypatch.setattr(sim1d._InwardEnds, "seconds", high_at_start)
         with pytest.raises(InvariantViolationError, match="core edge moved outward at t=56:"):
             run_until_gathered(jumped, 10**6)
         stepped = new_swarm(start, 0.45, 14)
@@ -947,18 +1001,11 @@ class TestGatheringJump:
         # the run above with a sink: the hook's x_2 is a unit high on every
         # tick before t = 56, so at a stride of 56 the one row due after
         # entry falls on the tick that raises, which emits none
-        seconds = sim1d._InwardEnd.seconds
-
-        def high_at_start(end, phase):
-            got = seconds(end, phase)
-            return got + end.n * ((phase == 0) & (end.keys[0] == lowest))
-
         start = [0.0, 0.5, 9.0, 20.0, 30.25]
         jumped, stepped = new_swarm(start, 0.45, 14), new_swarm(start, 0.45, 14)
         jumped.advance(5)  # the pool mid-block
         stepped.advance(5)
-        lowest = jumped._blocks[0][0]
-        monkeypatch.setattr(sim1d._InwardEnd, "seconds", high_at_start)
+        monkeypatch.setattr(sim1d._InwardEnds, "seconds", high_at_start)
         rows = []
         with pytest.raises(InvariantViolationError, match="core edge moved outward at t=56:"):
             run_until_gathered(jumped, 10**6, sink=rows.append, stride=56)
@@ -970,18 +1017,18 @@ class TestGatheringJump:
         assert take(jumped._pool, 8) == take(stepped._pool, 8)
 
     def test_raising_sink_leaves_the_state_of_its_pass(self):
-        # the first pass runs 2040 ticks from a fresh pool; a sink that
-        # raises on its row at t = 1000 leaves the state built at t = 2040
-        start = dyadic_start(40, 100.0, 9)
-        jumped, stepped = new_swarm(start, 0.45, 0), new_swarm(start, 0.45, 0)
+        # the first pass ends before gathering; a sink that raises on its
+        # first row after entry leaves the state built at that pass's end
+        boundary, _ = first_pass_ticks(SHORT_START, 0.45, SHORT_SEEDS[0])
+        jumped, stepped = (new_swarm(SHORT_START, 0.45, SHORT_SEEDS[0]) for _ in range(2))
 
         def sink(row):
             if row.t:
                 raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            run_until_gathered(jumped, 10**6, sink=sink, stride=1000)
-        stepped.advance(2040)
+            run_until_gathered(jumped, 10**6, sink=sink, stride=boundary // 2)
+        stepped.advance(boundary)
         assert not stepped.gathered
         assert jump_outcome(jumped) == jump_outcome(stepped)
 

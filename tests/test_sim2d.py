@@ -26,7 +26,11 @@ from lineswarm.sim2d import (
     step2d,
 )
 
-from oracles import bisector_direction, centroid_fsum, hull_diameter_pairs
+from oracles import bisector_direction, centroid_fsum, hull_diameter_pairs, orientation_exact
+
+# signed zeros, the smallest subnormal and normal, and magnitudes whose
+# differences overflow
+EDGE_COORDINATES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308]
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -95,6 +99,17 @@ class TestOrientation:
             Fraction(0.3) - Fraction(0.1)
         ) * (Fraction(0.2) - Fraction(0.1))
         assert got == (0 if exact == 0 else int(math.copysign(1, exact)))
+
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_COORDINATES), st.floats(-1e308, 1e308)),
+                    min_size=1, max_size=4)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=6, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_sign(self, coords):
+        # a few distinct values per triple, so coordinates and differences
+        # are often equal or zero, next to signed zeros, subnormals and
+        # differences that overflow
+        a, b, c = zip(coords[::2], coords[1::2])
+        assert orientation(a, b, c) == orientation_exact(a, b, c)
 
 
 class TestConvexHull:
