@@ -117,10 +117,22 @@ of ``x_2``, learning each pair on first use by the exact one-block tick
 and the gathered-core check.  A tick that would reopen the core is never
 stored: `advance` runs it, and raises.  The spans are the shapes' end
 keys plus the running sum of the ``x_2`` changes, as the doubles `_at`
-gives, and the tallies follow from the codes.  Near epsilon = 1/2 the
-excursions grow and shapes multiply, and learning costs O(N) a pair, so
-a call goes on with `advance` once its learning costs more than its
-lookups save.
+gives, and the tallies follow from the counts of the codes.  Near
+epsilon = 1/2 the excursions grow and shapes multiply, and learning costs
+O(N) a pair, so a call goes on with `advance` once its learning costs more
+than its lookups save.
+
+The lookups run four ticks at a time.  A quad memo maps a shape and four
+tick codes, packed first-most-significant into a byte ``c``, to the shape
+after them: ``quad[256*s + c] = 256*s'``.  A missing quad is composed from
+the four single-tick transitions, learning any that are missing in tick
+order, exactly as single ticks would, and then stored.  Only the first
+shapes get memo entries, ``_QUAD_MEMO`` in all, and a call goes on one
+tick at a time from the first pass after its quad misses pass
+``_QUAD_MISSES`` plus half its hits, so a call whose quads seldom recur
+pays little for them.  The loop
+keeps only each quad's first shape; numpy recovers the rows of its four
+ticks from it and the codes, with three gathers of the ``next`` array.
 """
 
 from __future__ import annotations
@@ -183,6 +195,15 @@ _TABLE_DRAWS = 16384
 # looked-up tick saves about 16 over `advance`, so a call also goes on with
 # `advance` once its learning passes _TABLE_KEYS/8 + 16 per tick run
 _TABLE_KEYS = 2**19
+# entries of the quad memo of `sample_total_spans`: 256 for each of its
+# first shapes.  A missed quad costs about its four ticks one at a time and
+# a hit about a quarter of that, so a call goes on one tick at a time once
+# its quad misses pass _QUAD_MISSES plus half its hits
+_QUAD_MEMO = 2**16
+_QUAD_MISSES = 1024
+# draws in one block of `simulate_reflected_chain`: its few arrays of that
+# many stay in cache
+_CHAIN_BLOCK = 2**15
 
 
 def _cut(keys):
@@ -864,10 +885,14 @@ class _ShapeTable:
     the four rows ``4*s + code``, one per tick code ``2*left_back +
     right_back``: ``next[row]`` is the next shape's first row (-1 until
     learned) and ``shift[row]`` the tick's change of ``x_2``.  ``low`` and
-    ``high`` hold each shape's first and last key.
+    ``high`` hold each shape's first and last key.  The first shapes, while
+    ``quad`` stays within ``_QUAD_MEMO`` entries, also own 256 quad entries
+    ``256*s + c``, one per four tick codes packed first-most-significant:
+    ``quad[256*s + c]`` is ``256*s'`` for the shape ``s'`` those four ticks
+    lead to, -1 until composed.
     """
 
-    __slots__ = ("n", "ids", "shapes", "next", "shift", "low", "high", "work")
+    __slots__ = ("n", "ids", "shapes", "next", "shift", "low", "high", "quad", "work")
 
     def __init__(self, shape: tuple[int, ...]) -> None:
         self.n = len(shape)
@@ -877,6 +902,7 @@ class _ShapeTable:
         self.shift: list[int] = []
         self.low: list[int] = []
         self.high: list[int] = []
+        self.quad: list[int] = []
         self.work = 0  # key copies spent learning
         self._add(shape)
 
@@ -889,6 +915,8 @@ class _ShapeTable:
             self.shift += (0, 0, 0, 0)
             self.low.append(shape[0])
             self.high.append(shape[-1])
+            if len(self.quad) < _QUAD_MEMO:
+                self.quad += [-1] * 256
         return row
 
     def learn(self, row: int, ticks: int) -> int:
@@ -913,64 +941,125 @@ class _ShapeTable:
         self.shift[row] = base
         return nxt
 
+    def follow(self, row: int, codes: bytes, ticks: int) -> tuple[int, array]:
+        """Run the tick ``codes`` one at a time from the shape of first row
+        ``row``, ``ticks`` ticks into the call, learning what is missing.
+
+        Returns the first row of the shape reached and the row of each tick
+        run.  A tick that cannot be learned ends the run before it, so
+        fewer rows than ``codes`` come back.
+        """
+        nxt, learn = self.next, self.learn
+        path = array("q")
+        append = path.append
+        for code in codes:
+            now = row + code
+            row = nxt[now]
+            if row < 0:
+                row = learn(now, ticks + len(path))
+                if row < 0:
+                    return now & -4, path
+            append(now)
+        return row, path
+
 
 def _shape_ticks(state: SwarmState1D, spans: np.ndarray, stride: int) -> int:
     """Run ``len(spans) * stride`` ticks of a bilateral, gathered, one-block
     swarm by table lookups, filling the spans of the samples they finish.
 
     Draws come from the pool ahead, about ``_TABLE_DRAWS`` a pass, as tick
-    codes.  A tick with no stored transition is learned; one that cannot
-    be (it reopens the core, or the table is full or too costly) ends the
-    call there.  Leaves the state, the pool and the tallies as `advance`
-    would after the ticks run, and returns their count.
+    codes.  A pass runs its ticks four at a time by the quad memo of the
+    module docstring, and its last ``ticks % 4`` ticks one at a time, as
+    it does every tick once the call's quad misses are too many.  A tick
+    with no stored transition is learned; one that cannot be (it reopens
+    the core, or the table is full or too costly) ends the call there.
+    Leaves the state, the pool and the tallies as `advance` would after the
+    ticks run, and returns their count.
     """
     pool = state._pool
     block = state._blocks[0]
     x2 = block[1]
     table = _ShapeTable(tuple([key - x2 for key in block]))
-    nxt, learn = table.next, table.learn
+    nxt, quad = table.next, table.quad
     keep = 1.0 - state.params.epsilon
     total = len(spans) * stride
-    row = t = 0
-    backs = np.zeros(3, np.int64)  # turn-back ticks: left, right, both
+    row = t = quads = misses = 0  # quads run and missed
+    built = -1  # table.work when the arrays below were built
+    tally = np.zeros(4, np.int64)  # ticks run per code
     while t < total:
         src = pool.ahead(min(_TABLE_DRAWS, 2 * (total - t)))
         ticks = min(src.size // 2, total - t)
-        back = src[: 2 * ticks].reshape(ticks, 2) >= keep
-        codes = (2 * back[:, 0] + back[:, 1]).astype(np.uint8).tobytes()
-        path = array("q")  # the row of each tick run
-        append = path.append
-        for code in codes:
-            now = row + code
-            row = nxt[now]
-            if row < 0:
-                row = learn(now, t + len(path))
-                if row < 0:
-                    row = now & -4
-                    break
-            append(now)
-        ran = len(path)
+        back = (src[: 2 * ticks] >= keep).view(np.uint8)
+        codes = (back[0::2] << 1) | back[1::2]
+        code_bytes = codes.tobytes()
+        starts = array("q")  # 256*shape before each quad run
+        stopped = False
+        if misses <= _QUAD_MISSES + (quads - misses) // 2:
+            four = codes[: ticks - ticks % 4].reshape(-1, 4)
+            packed = four[:, 0] << 6 | four[:, 1] << 4 | four[:, 2] << 2 | four[:, 3]
+            append = starts.append
+            q = row << 6
+            for c in packed.tobytes():
+                try:
+                    nq = quad[q + c]
+                except IndexError:  # a shape past the memo
+                    nq = -1
+                if nq < 0:
+                    misses += 1
+                    nq = q >> 6
+                    for k in 6, 4, 2, 0:  # compose the quad from stored ticks
+                        nq = nxt[nq + (c >> k & 3)]
+                        if nq < 0:
+                            break
+                    if nq < 0:  # and learn what is missing, in tick order
+                        i = 4 * len(starts)
+                        nq, path = table.follow(q >> 6, code_bytes[i : i + 4], t + i)
+                        if len(path) < 4:
+                            q, stopped = nq << 6, True
+                            break
+                    nq <<= 6
+                    if q + c < len(quad):
+                        quad[q + c] = nq
+                append(q)
+                q = nq
+            row = q >> 6
+        if not stopped:  # the rest of the pass, a tick at a time
+            i = 4 * len(starts)
+            row, path = table.follow(row, code_bytes[i:], t + i)
+        run = np.frombuffer(starts, np.int64)
+        quads += run.size
+        ran = 4 * run.size + len(path)
         pool.consume(2 * ran)
         if ran:
-            rows = np.frombuffer(path, np.int64)
-            x2s = x2 + np.cumsum(np.array(table.shift)[rows])  # x_2 after each tick
+            if built != table.work:
+                nexts, shift, low, high = map(np.array, (nxt, table.shift, table.low, table.high))
+                built = table.work
+            rows = np.empty(ran, np.int64)
+            if run.size:  # each quad's rows, a tick at a time
+                lead, four = rows[: 4 * run.size].reshape(-1, 4), four[: run.size]
+                lead[:, 0] = (run >> 6) + four[:, 0]
+                for k in 1, 2, 3:
+                    lead[:, k] = nexts[lead[:, k - 1]] + four[:, k]
+            rows[4 * run.size :] = np.frombuffer(path, np.int64)
+            x2s = x2 + np.cumsum(shift[rows])  # x_2 after each tick
             first = (-t - 1) % stride  # the pass's first tick that ends a sample
             at = np.arange(first, ran, stride)
             if at.size:
-                after = np.array(nxt)[rows[at]] >> 2
-                lo = x2s[at] + np.array(table.low)[after]
-                hi = x2s[at] + np.array(table.high)[after]
+                after = nexts[rows[at]] >> 2
+                lo = x2s[at] + low[after]
+                hi = x2s[at] + high[after]
                 j = (t + first + 1) // stride - 1
                 spans[j : j + at.size] = state._doubles(hi) - state._doubles(lo)
-            back = back[:ran]
-            backs += (*back.sum(axis=0), np.count_nonzero(back[:, 0] & back[:, 1]))
+            tally += np.bincount(codes[:ran], minlength=4)
             x2 = int(x2s[-1])
             t += ran
         if ran < ticks:
             break
     block[:] = [key + x2 for key in table.shapes[row >> 2]]
     state.t += t
-    state._backs = tuple(int(a + b) for a, b in zip(state._backs, backs))
+    left, right, both = state._backs
+    state._backs = (left + int(tally[2] + tally[3]), right + int(tally[1] + tally[3]),
+                    both + int(tally[3]))
     return t
 
 
@@ -1211,7 +1300,8 @@ def simulate_reflected_chain(
     visited states are also averaged over ``batches`` consecutive equal
     windows (the trailing remainder is left out of the windows).
 
-    Draws come in blocks of 262,144.  Within a block, with ``S`` the
+    Draws come in blocks of ``_CHAIN_BLOCK`` (32,768), into buffers that
+    every block reuses, in place.  Within a block, with ``S`` the
     running sum of the +-1 steps and ``k0`` the state carried in, the
     Lindley recursion gives every state at once:
     ``k_t = 1 + S_t - min(1 - k0, min_{j<=t} S_j)``.  Visits are tallied
@@ -1230,12 +1320,23 @@ def simulate_reflected_chain(
     batch_sums = np.zeros(batches, dtype=np.int64)
     k = 1
     total = burn_in + samples
-    block = 262_144
+    block = min(_CHAIN_BLOCK, total)
+    draws, up = np.empty(block), np.empty(block, bool)
+    walk, low = np.empty((2, block), np.int64)
+    steps = np.arange(1, block + 1)
     for start in range(0, total, block):
         size = min(block, total - start)
+        if size < block:
+            draws, up, walk, low, steps = draws[:size], up[:size], walk[:size], low[:size], steps[:size]
+        rng.random(out=draws)
         # running sum of the +-1 steps: ups minus downs
-        walk = 2 * np.cumsum(rng.random(size) < eps) - np.arange(1, size + 1)
-        states = 1 + walk - np.minimum(np.minimum.accumulate(walk), 1 - k)
+        np.cumsum(np.less(draws, eps, out=up), out=walk)
+        walk *= 2
+        walk -= steps
+        np.minimum(np.minimum.accumulate(walk, out=low), 1 - k, out=low)
+        states = walk  # 1 + walk - low, in place
+        states -= low
+        states += 1
         k = int(states[-1])
         skip = max(burn_in - start, 0)  # burn-in ticks at the head of this block
         kept = states[skip:]

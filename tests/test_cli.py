@@ -258,6 +258,24 @@ class TestExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("config", ["span_distribution", "centroid_drift"])
+    def test_post_gathering_config_at_its_real_scale(self, config, tmp_path):
+        # 10^7 and 10^6 ticks after gathering, by shape-table lookups
+        code = run_cli("experiment", "--config", str(CONFIGS / f"{config}.json"),
+                       "--out", str(tmp_path))
+        assert code == EXIT_OK
+
+    def test_walk_validation_at_its_real_scale(self, tmp_path):
+        # a 10^6-sample reflected chain over many draw blocks, per epsilon
+        config = CONFIGS / "walk_validation.json"
+        assert run_cli("experiment", "--config", str(config), "--out", str(tmp_path)) == EXIT_OK
+        epsilons = json.loads(config.read_text(encoding="utf-8"))["epsilons"]
+        with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["kind"] == "walk-validation:chain-tv"]
+        assert len(rows) == len(epsilons)
+        for row in rows:
+            assert float(row["mean"]) < 0.01, f"chain-tv {row['mean']} at epsilon {row['epsilon']}"
+
     def test_missing_config_and_kind(self, tmp_path):
         assert run_cli("experiment", "--out", str(tmp_path)) == EXIT_USER
 

@@ -1056,15 +1056,22 @@ table_starts = st.one_of(
 class TestSampleTotalSpans:
     @staticmethod  # no instance, so the runs below can call it too
     @given(table_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 300),
-           st.integers(0, 40), st.integers(1, 30), st.sampled_from([None, 64, 2]),
+           st.integers(0, 40), st.integers(1, 30), st.sampled_from([None, 64, 14, 2]),
            st.sampled_from([None, 2**10]))
     @example([0.0, 0.25, 0.5, 0.75], 0.0, 1, 0, 0, 5, None, None)  # 0 samples
     @example([0.0, 0.0, 0.0, 0.0, 1.0], 0.45, 5, 300, 40, 30, 2, None)
     @example([0.5, 0.5, 1.5, 1.5, 2.5, 2.5], 0.3, 8, 300, 40, 30, None, 2**10)
+    # learning stops at the second tick of the quad at tick 152, after 38
+    # quads, 5 of them looked up; in passes of 14 draws the same stop falls
+    # on a single tick
+    @example([k / 4 for k in range(20)], 0.15, 2, 300, 40, 30, None, 2**14)
+    @example([k / 4 for k in range(20)], 0.15, 2, 300, 40, 30, 14, 2**14)
     @settings(max_examples=150, deadline=None)
     def test_matches_advance(positions, eps, seed, pre, samples, stride, cap, table_keys):
-        # ``cap`` shortens the passes to cross them; ``table_keys`` makes the
-        # table fill, so that a call goes on with `advance` mid-sample
+        # ``cap`` shortens the passes to cross them: 64 draws make passes of
+        # whole quads, 14 one quad and three single ticks, 2 a single tick.
+        # ``table_keys`` makes learning stop, so that a call goes on with
+        # `advance` mid-sample, or mid-quad
         tabled, stepped = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
         for s in (tabled, stepped):
             run_until_gathered(s, 10**6)
@@ -1109,6 +1116,46 @@ class TestSampleTotalSpans:
         assert np.array_equal(got, spans_by_advance(swarms[1], 300, 7))
         assert jump_outcome(swarms[0]) == jump_outcome(swarms[1])
         assert bool(calls) == tabled
+
+    @pytest.mark.parametrize("positions, eps, seed, table_keys", [
+        ([k / 4 for k in range(20)], 0.15, 2, 2**14),
+        ([0.5, 0.5, 1.5, 1.5, 2.5, 2.5], 0.3, 8, 2**10),
+        (np.random.default_rng(21).uniform(0, 5, 21).tolist(), 0.45, 7, None),
+    ])
+    def test_quads_stop_where_single_ticks_do(self, positions, eps, seed, table_keys):
+        # learning sees the same ticks in the same order with quads as
+        # without (_QUAD_MISSES = -1), so its budget ends the call at the
+        # same tick
+        stops = []
+        for misses in sim1d._QUAD_MISSES, -1:
+            s = new_swarm(positions, eps, seed)
+            run_until_gathered(s, 10**6)
+            with patched(_QUAD_MISSES=misses, _TABLE_KEYS=table_keys or sim1d._TABLE_KEYS):
+                stops.append(sim1d._shape_ticks(s, np.empty(1000), 30))
+        assert stops[0] == stops[1] < 30_000
+
+    def test_quad_memo_stays_bounded(self, monkeypatch):
+        # near epsilon = 1/2 shapes multiply: 3*10^5 ticks at N = 4 learn
+        # far more shapes than the memo has quads for
+        tables = []
+
+        class Table(sim1d._ShapeTable):
+            __slots__ = ()
+
+            def __init__(self, shape):
+                super().__init__(shape)
+                tables.append(self)
+
+        monkeypatch.setattr(sim1d, "_ShapeTable", Table)
+        start = [0.0, 0.3, 0.6, 0.9]
+        tabled, stepped = new_swarm(start, 0.45, 4), new_swarm(start, 0.45, 4)
+        for s in tabled, stepped:
+            assert run_until_gathered(s, 10**6).reached
+        got = sim1d.sample_total_spans(tabled, 30_000, 10)
+        assert np.array_equal(got, spans_by_advance(stepped, 30_000, 10))
+        assert jump_outcome(tabled) == jump_outcome(stepped)
+        (table,) = tables
+        assert len(table.quad) == sim1d._QUAD_MEMO < 256 * len(table.shapes)
 
     def test_reopening_core_raises_at_its_tick(self):
         # a swarm flagged gathered with its upper half moved 3 units up: its
@@ -1335,13 +1382,16 @@ class TestWalkSimulators:
         assert_chain_matches_scalar(eps, seed, burn_in, samples, batches)
 
     def test_reflected_chain_across_block_boundary(self):
-        # burn-in ends inside the first 262,144-draw block; sampling crosses into the second
-        assert_chain_matches_scalar(0.4, 77, 262_100, 5_003, 7)
+        # burn-in ends 44 draws before the end of the first block; sampling
+        # crosses into the second
+        assert_chain_matches_scalar(0.4, 77, sim1d._CHAIN_BLOCK - 44, 5_003, 7)
 
     def test_reflected_chain_over_several_blocks(self):
-        # burn-in fills the first block; windows 4 and 10 straddle the block
-        # boundaries at sample indices 224,288 and 486,432
-        assert_chain_matches_scalar(0.3, 5, 300_000, 600_001, 13)
+        # burn-in fills the first block and a seventh of the second; the
+        # samples cover 2.25 blocks more, in 13 windows of about 0.17 blocks,
+        # so windows 4 and 10 straddle the ends of the second and third blocks
+        block = sim1d._CHAIN_BLOCK
+        assert_chain_matches_scalar(0.3, 5, block + block // 7, 2 * block + block // 4 + 1, 13)
 
 
 class TestCentroidDriftLaw:
