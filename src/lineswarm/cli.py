@@ -130,10 +130,18 @@ def _cmd_analytic(args) -> int:
 _PARSE_CHUNK = 1 << 16  # characters of --positions split at a time
 
 
-def _parse_positions(raw: str) -> list[float]:
-    # split in chunks cut at commas, so that at N = 10^5 the parse holds a
-    # few thousand token strings at a time rather than one per agent
-    positions: list[float] = []
+def _parse_positions(raw: str) -> np.ndarray:
+    """The comma-separated numbers of ``raw`` as one float64 array.
+
+    Each field is read as `float` reads it (surrounding whitespace,
+    underscores, ``inf`` and ``nan`` spellings, non-ASCII digits), and
+    blank fields are skipped.  The text is split in chunks cut at commas,
+    so that at N = 10^5 the parse holds a few thousand token strings at a
+    time rather than one per agent, and numpy reads each chunk's tokens
+    into doubles without a Python float per field.  A chunk that numpy
+    refuses, for a blank or a bad field, is read again field by field.
+    """
+    parts = []
     start = field = 0  # field: index of the chunk's first comma-separated field
     while start < len(raw):
         stop = raw.find(",", start + _PARSE_CHUNK)
@@ -141,18 +149,26 @@ def _parse_positions(raw: str) -> list[float]:
             stop = len(raw)
         tokens = raw[start:stop].split(",")
         try:
-            positions += map(float, filter(str.strip, tokens))
-        except ValueError as exc:
-            # quote the bad field alone: the whole argument can run to megabytes
-            i = next(i for i, token in enumerate(tokens) if _not_a_number(token))
-            shown = tokens[i] if len(tokens[i]) <= 40 else tokens[i][:40] + "..."
-            raise ValidationError(
-                f"cannot parse positions: field {field + i} (counting from 0) "
-                f"is {shown!r}, not a number"
-            ) from exc
+            parts.append(np.array(tokens, dtype=float))
+        except ValueError:
+            parts.append(np.array(_parse_fields(tokens, field), dtype=float))
         field += len(tokens)
         start = stop + 1
-    return positions
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _parse_fields(tokens: list[str], field: int) -> list[float]:
+    # the non-blank fields of one chunk whose first field is number ``field``
+    try:
+        return list(map(float, filter(str.strip, tokens)))
+    except ValueError as exc:
+        # quote the bad field alone: the whole argument can run to megabytes
+        i = next(i for i, token in enumerate(tokens) if _not_a_number(token))
+        shown = tokens[i] if len(tokens[i]) <= 40 else tokens[i][:40] + "..."
+        raise ValidationError(
+            f"cannot parse positions: field {field + i} (counting from 0) "
+            f"is {shown!r}, not a number"
+        ) from exc
 
 
 def _not_a_number(token: str) -> bool:
@@ -200,7 +216,7 @@ def _cmd_sim1d(args) -> int:
     state = new_swarm(
         positions, args.epsilon, child_seed(args.seed, "cli-sim1d-dyn", 0), mode=args.mode
     )
-    del positions  # N floats, which the state no longer needs
+    del positions  # N doubles, which the state no longer needs
     out = _out_dir(args)
     traj_path = out / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:

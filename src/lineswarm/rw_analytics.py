@@ -146,6 +146,10 @@ def farthest_excursion_bound(p: WalkParams) -> float:
 # past this n * ln(1/r), r**n lies below 2^-1075, half the smallest subnormal
 _UNDERFLOW_LOG = 1075 * math.log(2.0) + 1.0
 _POWER_CHUNK = 1 << 16
+# the most factors `_ratio_power` multiplies, a few seconds' work: below the
+# underflow cut, which passes 10^18 factors as epsilon nears 1/2, a larger
+# power is refused rather than run for days
+_POWER_BUDGET = 1 << 30
 
 
 def _ratio_power(p: WalkParams, n: int) -> float:
@@ -154,8 +158,13 @@ def _ratio_power(p: WalkParams, n: int) -> float:
     # `multiply.accumulate` multiplies in order, so each chunk gives the
     # doubles of the scalar loop.
     r = p.ratio
-    if r > 0.0 and n * -math.log(r) > _UNDERFLOW_LOG:
+    if n and (r == 0.0 or n * -math.log(r) > _UNDERFLOW_LOG):
         return 0.0  # r**n rounds to 0.0: no need to run n factors
+    if n > _POWER_BUDGET:
+        raise ValidationError(
+            f"(epsilon/(1-epsilon))**{n} needs {n} factors, past the limit of "
+            f"{_POWER_BUDGET}: use a smaller k or epsilon"
+        )
     acc = 1.0
     while n:
         m = min(n, _POWER_CHUNK)

@@ -241,6 +241,14 @@ def exact_sum(xs: Sequence[float]) -> tuple[float, ...]:
 class SwarmState1D:
     """Sorted agent keys in blocks, plus tick counter and a seeded RNG stream.
 
+    Construction splits each sorted position into its cell and fraction
+    and ranks the fractions by one argsort: the sorted fractions are the
+    table, and an agent's rank is the first index of its fraction's run of
+    equal values there.  Equal fractions are equal doubles (``x - rint(x)``
+    is +0.0 at an integer, never -0.0), so the argsort's order among them
+    changes neither the table's bytes nor any key, and it need not be
+    stable.
+
     ``_blocks`` is the block list of the module docstring: one block while
     ``N <= 2*_BLOCK``, else middle blocks of ``_BLOCK`` to ``2*_BLOCK``
     keys and end blocks of 3 to ``2*_BLOCK``.  ``_tops`` holds the last key
@@ -294,15 +302,24 @@ class SwarmState1D:
         cells = np.rint(x)
         f = x - cells
         del x
-        table = np.sort(f)
-        if table[0] == -0.5:  # rint rounds half to even: move those halves a cell down
+        order = f.argsort()
+        if f[order[0]] == -0.5:  # rint rounds half to even: move those halves a cell down
             half = f == -0.5
             cells -= half
             f += half
-            table = np.sort(f)
+            order = f.argsort()
+        table = f[order]
+        del f
         self._table = array("d", table.tobytes())
-        keys = np.searchsorted(table, f)
-        del f, table
+        # each agent's rank is the first index of its fraction's run in the table
+        rank = np.arange(n)
+        tie = table[1:] == table[:-1]
+        if np.count_nonzero(tie):
+            rank[1:][tie] = 0
+            np.maximum.accumulate(rank, out=rank)
+        keys = np.empty_like(rank)
+        keys[order] = rank
+        del order, rank, tie, table
         self._cell0 = int(cells[0])
         cells -= cells[0]
         keys += cells.astype(np.int64) * n

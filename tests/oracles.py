@@ -5,9 +5,9 @@ that the package holds only what the CLI, the experiments or the
 benchmark run: series sums to check closed forms against, the absorbing
 chain in exact rational arithmetic, a half-shrink bound, the ratio power
 and the smallest fractional distance by scalar loops, the fractional
-parts and the variance of a 1D swarm, the bisector at one planar hull
-vertex, the planar orientation in exact rational arithmetic, the planar
-centroid and hull diameter by direct sums and loops, and a
+parts, the variance and the keys of a 1D swarm, the bisector at one
+planar hull vertex, the planar orientation in exact rational arithmetic,
+the planar centroid and hull diameter by direct sums and loops, and a
 one-draw-at-a-time reader of a `DrawPool`.
 """
 
@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
 from lineswarm.rw_analytics import _UNDERFLOW_LOG, CATALAN_MAX_K, WalkParams, catalan
@@ -33,6 +35,7 @@ __all__ = [
     "half_shrink_bound",
     "hit_prob_series_partial_sums",
     "hull_diameter_pairs",
+    "keys_by_search",
     "metrics",
     "min_fractional_distance_sorted",
     "orientation_exact",
@@ -215,6 +218,34 @@ def metrics(state: SwarmState1D, reference: float | None = None) -> Metrics:
     ref = c if reference is None else reference
     var = math.fsum((x - ref) ** 2 for x in state.positions) / state.n_agents
     return Metrics(c, var, state.core_span, state.total_span)
+
+
+class SearchedKeys(NamedTuple):
+    table: bytes  # the sorted fractions, as doubles
+    cell0: int
+    keys: list[int]  # sorted, one per agent
+
+
+def keys_by_search(positions) -> SearchedKeys:
+    """The 1D state's fraction table and keys by a sort of the fractions
+    and a binary search of each agent's fraction in the sorted table.
+
+    ``x = cell + f`` with ``f`` in ``(-1/2, 1/2]``, and each agent's rank
+    is the first index of its ``f`` in the table, found by
+    ``searchsorted``: the reference for `SwarmState1D`'s ranks by one
+    argsort.
+    """
+    x = np.sort(np.array(positions, dtype=float))
+    cells = np.rint(x)
+    f = x - cells
+    table = np.sort(f)
+    if table[0] == -0.5:  # rint rounds half to even: move those halves a cell down
+        half = f == -0.5
+        cells -= half
+        f += half
+        table = np.sort(f)
+    keys = np.searchsorted(table, f) + (cells - cells[0]).astype(np.int64) * x.size
+    return SearchedKeys(table.tobytes(), int(cells[0]), keys.tolist())
 
 
 def fractional_parts(state: SwarmState1D) -> tuple[float, ...]:

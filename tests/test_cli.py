@@ -6,12 +6,16 @@ import math
 import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lineswarm import cli, sim2d
+from lineswarm import cli, rw_analytics, sim2d
 from lineswarm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from lineswarm.errors import ValidationError
 
@@ -79,6 +83,20 @@ class TestAnalytic:
         assert capsys.readouterr().out == out + "\n"
 
 
+    @pytest.mark.parametrize("formula", ["pi", "tail-single", "tail-sum"])
+    def test_power_past_the_factor_budget_is_user_error(self, formula, capsys):
+        # ln(1/ratio) is about 4e-16 at the largest epsilon below 1/2, so the
+        # power stays above the underflow cut for 10^18 factors; 10^15 of
+        # them would take weeks, and the factor budget refuses them at once
+        started = time.monotonic()
+        code = run_cli("analytic", formula, "--epsilon", "0.49999999999999994", "--k", "1e15")
+        assert code == EXIT_USER
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert f"past the limit of {rw_analytics._POWER_BUDGET}" in err
+        assert "internal error" not in err
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "argv",
@@ -95,6 +113,28 @@ class TestHelp:
             run_cli(*argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+def _spelled(x, digits, sign, pad):
+    text = repr(x) if digits > 17 else f"{x:.{digits}g}"
+    if sign and not text.startswith("-"):
+        text = "+" + text
+    return pad + text + pad[::-1]
+
+
+# --positions fields: doubles spelled by repr or to 1..17 significant
+# digits, signs and surrounding whitespace, blank fields, and the other
+# spellings float() reads
+field_st = st.one_of(
+    st.builds(_spelled, st.floats(allow_nan=False) | st.just(-0.0),
+              st.integers(1, 18), st.booleans(), st.sampled_from(["", " ", "\t", " \t"])),
+    st.integers(-(10**9), 10**9).map("{:_}".format),
+    st.sampled_from([
+        "", " ", "\t", "inf", "-inf", "+Infinity", "nan", "-NaN", "1e500", "-1e-400",
+        "1.7976931348623159e308", "2.4703282292062328e-324", "1_000.5", "1E-3", ".5",
+        "\u0663", "\u0661\u0662.\u0665", "\uff14\uff12",
+    ]),
+)
 
 
 class TestSim1d:
@@ -139,11 +179,36 @@ class TestSim1d:
         # chunks cut at commas: the same floats, empty tokens skipped
         monkeypatch.setattr(cli, "_PARSE_CHUNK", chunk)
         raw = " 0.25,,-1e3, 4 ,\t,2.5e-1,"
-        assert cli._parse_positions(raw) == [0.25, -1000.0, 4.0, 0.25]
+        assert cli._parse_positions(raw).tolist() == [0.25, -1000.0, 4.0, 0.25]
         with pytest.raises(ValidationError) as err:
             cli._parse_positions("0.5,,abc,1")
         assert str(err.value) == (
             "cannot parse positions: field 2 (counting from 0) is 'abc', not a number")
+
+    @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.lists(field_st, max_size=40))
+    def test_positions_parse_as_float_does(self, chunk, fields, monkeypatch):
+        # numpy reads each chunk's tokens into the doubles float() gives, and a
+        # chunk with blank fields is read again field by field
+        monkeypatch.setattr(cli, "_PARSE_CHUNK", chunk)
+        raw = ",".join(fields)
+        expect = np.array([float(t) for t in raw.split(",") if t.strip()], dtype=float)
+        assert cli._parse_positions(raw).tobytes() == expect.tobytes()
+
+    def test_positions_parse_memory(self):
+        # 10^5 positions: the doubles and one chunk's token strings, never a
+        # list of 10^5 Python floats (3.5 MB)
+        raw = ",".join(map(repr, (np.arange(100_000) * 2.0**-20 + 0.1).tolist()))
+        tracemalloc.start()
+        try:
+            positions = cli._parse_positions(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert positions.size == 100_000
+        assert peak < 2.5e6, f"peak {peak} B"
 
     def test_bad_token_error_quotes_only_the_token(self, tmp_path, capsys):
         raw = ",".join(str(0.25 * i) for i in range(100_000)) + ",abc"
@@ -188,6 +253,20 @@ class TestSim2d:
                 rows[name] = list(csv.DictReader(fh))
         assert len(rows["huge"]) == 4
         assert rows["huge"][0]["hull_count"] == rows["unit"][0]["hull_count"]
+
+    def test_planar_rows_do_not_depend_on_the_stride(self, tmp_path):
+        # N = 2000 for 100 steps: rows at stride 7 are the stride-1 rows of
+        # the same ticks, t = 0, 7, ..., 98, then the last tick, t = 100
+        lines = {}
+        for stride in (1, 7):
+            out = tmp_path / f"stride-{stride}"
+            assert run_cli("sim2d", "--n", "2000", "--side", "30", "--epsilon", "0.1",
+                           "--seed", "11", "--steps", "100", "--stride", str(stride),
+                           "--out", str(out)) == EXIT_OK
+            lines[stride] = (out / "trajectory2d.csv").read_text(encoding="utf-8").splitlines()
+        every = lines[1]
+        assert len(every) == 102  # the header, then t = 0..100
+        assert lines[7] == [every[0]] + every[1:-1:7] + [every[-1]]
 
     @pytest.mark.parametrize("points", [
         pytest.param("0,0;1e308,1e308;-1e308,1e308", id="sum"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lineswarm import rw_analytics
 from lineswarm.errors import DegenerateConfigurationError, ValidationError
 from lineswarm.rw_analytics import (
     CATALAN_MAX_K,
@@ -201,6 +202,19 @@ class TestStationaryDistribution:
             p = WalkParams(eps)
             for k in ks:
                 assert _ratio_power(p, k).hex() == ratio_power_loop(p, k).hex(), (eps, k)
+
+    def test_ratio_power_factor_budget(self, monkeypatch):
+        # below the underflow cut the power runs one factor at a time, so a
+        # power past the budget is refused instead of run; past the cut, and
+        # at epsilon = 0, it is 0.0 with no factor run, whatever the budget
+        monkeypatch.setattr(rw_analytics, "_POWER_BUDGET", 1_000)
+        p = WalkParams(0.45)  # cut near 3,700 factors
+        assert _ratio_power(p, 1_000).hex() == ratio_power_loop(p, 1_000).hex()
+        with pytest.raises(ValidationError, match=r"needs 1001 factors, past the limit of 1000"):
+            _ratio_power(p, 1_001)
+        assert _ratio_power(p, 10**6) == 0.0
+        assert _ratio_power(WalkParams(0.0), 10**18) == 0.0
+        assert _ratio_power(WalkParams(0.0), 0) == 1.0
 
     def test_tail_sum_is_two_fold_convolution_tail(self):
         # independent oracle: P(X+Y >= k) by direct convolution of pi

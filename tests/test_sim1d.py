@@ -36,7 +36,13 @@ from lineswarm.sim1d import (
     simulate_walk_first_passage,
 )
 
-from oracles import fractional_parts, metrics, reflected_chain_mean_series, take
+from oracles import (
+    fractional_parts,
+    keys_by_search,
+    metrics,
+    reflected_chain_mean_series,
+    take,
+)
 
 # positions on the 2**-20 lattice below 2**20 keep every +-1 jump exactly
 # representable, so bit-level conservation claims are provable on them
@@ -46,6 +52,31 @@ lattice_positions = st.lists(
     max_size=12,
 )
 
+# starts for the ranks: equal fractions on a quarter grid (exact +-x.5
+# halves and integers among them, negative ones too), halves far out, one
+# cell, arbitrary doubles, and a few thousand agents past 2*_BLOCK
+rank_start_st = st.one_of(
+    st.lists(
+        st.one_of(
+            st.integers(-40, 40).map(lambda k: k * 0.25),
+            st.integers(-(2**40), 2**40).map(lambda k: k + 0.5),
+            st.floats(-0.5, 0.5),
+            st.floats(-1e6, 1e6),
+            st.sampled_from([-0.0, -1.0, 5e-324, -5e-324, 0.49999999999999994]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.builds(
+        lambda n, seed, grid, offset: (
+            np.random.default_rng(seed).integers(-4 * n, 4 * n, n) * grid + offset
+        ).tolist(),
+        st.integers(2 * sim1d._BLOCK + 1, 3000),
+        st.integers(0, 2**32),
+        st.sampled_from([0.25, 0.1, 2.0**-20]),
+        st.sampled_from([0.0, -1000.5]),
+    ),
+)
 epsilons_st = st.floats(min_value=0.0, max_value=0.45)
 modes_st = st.sampled_from([BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -144,6 +175,25 @@ class TestConstruction:
             new_swarm([-(2.0**51), 2.0**51] * 600, 0.1, 1)
         with pytest.raises(ValidationError):
             new_swarm([0.5], 0.1, 1, mode="sideways")
+
+    @settings(max_examples=200, deadline=None)
+    @given(positions=rank_start_st, block=st.sampled_from([3, sim1d._BLOCK]))
+    @example(positions=[0.5, 1.5, -2.5, 3.0, -0.0], block=3)
+    def test_ranks_equal_the_searched_keys(self, positions, block):
+        # one argsort ranks the fractions as the reference's sort and binary
+        # search of each agent's fraction do: the same table bytes, cell and keys
+        want = keys_by_search(positions)
+        with block_size(block):
+            s = new_swarm(positions, 0.1, 1)
+            assert s._blocks == sim1d._cut(want.keys)
+        n = len(want.keys)
+        assert s._table.tobytes() == want.table
+        assert s._cell0 == want.cell0
+        assert s.gathered == (n < 4 or want.keys[-2] - want.keys[1] <= n)
+        # x - rint(x) is +0.0 at an integer, so equal fractions are equal
+        # doubles, and no sort order among them can change the table's bytes
+        table = np.frombuffer(s._table)
+        assert not np.signbit(table[table == 0.0]).any()
 
 
 class TestStepSemantics:
