@@ -71,26 +71,28 @@ after construction and after every tick in every mode; in the
 unilateral modes it can fall back to False.
 
 `run_until_gathered` jumps a bilateral swarm to its gathering tick T in
-numpy, since until T the two ends never move the same agent.  Take the left end's draws as +1 (inward) and -1 (turn
-back), their running sum ``X_t``, the phase ``P_t = max(0, max_{u<=t}
-X_u)`` and the depth ``D_t = P_t - X_t``: a walk reflected at its
-running maximum.  After t ticks the left side is ``C_P``, the keys after
-P inward moves alone, with its extreme agent D units further out, so
-``x_2 = second(C_P)`` at every depth.  The P keys those moves pop are
-the P smallest of the closure ``{key + j*N : j >= 0}``; with ``key =
-N*cell + rank`` the closure runs level by level, each level's keys in
-rank order, and ``second(C_P)`` is its next entry of another agent.  The
-right end is the mirror image, on negated keys.  While ``x_{N-1} - x_2
-> 1``, the left end's moved keys stay at most one unit above its
-``x_2``, so strictly below ``x_{N-1}``, and the right end's at most one
-unit below its ``x_{N-1}``, so strictly above ``x_2``: neither end sees
-the other's agents.  At T both
-moves read the state before the tick, so the state at T is the two
-ends' moves together.  The jump checks the core-edge invariant on every
-tick, as arrays, and builds the blocks once, at T.  The same arrays give
-the trajectory rows before T: ``x_2`` and ``x_{N-1}``, each extreme as its
-end's closure entry P less D units, and the centroid from the turn-backs,
-``(t - X_t)/2`` at each end.  Its memory is O(N + T).
+numpy, since until T the two ends never move the same agent.  Take the
+left end's draws as +1 (inward) and -1 (turn back), their running sum
+``X_t``, the phase ``P_t = max(0, max_{u<=t} X_u)`` and the depth ``D_t
+= P_t - X_t``: a walk reflected at its running maximum.  After t ticks
+the left side is ``C_P``, the keys after P inward moves alone, with its
+extreme agent D units further out, so ``x_2 = second(C_P)`` at every
+depth.  The P keys those moves pop are the P smallest of the closure
+``{key + j*N : j >= 0}``; with ``key = N*cell + rank`` the closure runs
+level by level, each level's keys in rank order, and ``second(C_P)`` is
+its next entry of another agent.  The right end is the mirror image, on
+negated keys.  While ``x_{N-1} - x_2 > 1``, the left end's moved keys
+stay at most one unit above its ``x_2``, so strictly below ``x_{N-1}``,
+and the right end's at most one unit below its ``x_{N-1}``, so strictly
+above ``x_2``: neither end sees the other's agents.  At T both moves
+read the state before the tick, so the state at T is the two ends' moves
+together, and T is the first tick at which each end's own ``x_2`` and
+``x_{N-1}`` lie within one unit (`_jump_to_gathering` shows why).  The
+jump checks the core-edge invariant on every tick, as arrays, and builds
+the blocks once, at T.  The same arrays give the trajectory rows before
+T: ``x_2`` and ``x_{N-1}``, each extreme as its end's closure entry P
+less D units, and the centroid from the turn-backs, ``(t - X_t)/2`` at
+each end.  Its memory is O(N + T).
 
 The jump runs in numpy passes over the draws ahead, and each pass needs
 the two ends' closures listed as far as its phases reach.  Both are
@@ -575,16 +577,8 @@ def new_swarm(
 
 
 def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:
-    sink(
-        TrajectoryRow(
-            state.t,
-            state.centroid(),
-            state.core_span,
-            state.total_span,
-            state._at(state._blocks[0][0]),
-            state._at(state._blocks[-1][-1]),
-        )
-    )
+    x1, xn = state._at(state._blocks[0][0]), state._at(state._blocks[-1][-1])
+    sink(TrajectoryRow(state.t, state.centroid(), state.core_span, xn - x1, x1, xn))
 
 
 class _InwardEnds:
@@ -781,10 +775,16 @@ def _jump_to_gathering(
     them reads twice as many as the one before, at most ``_JUMP_CAP``.
     The state is built once, at the last tick run: the tick that gathers,
     that moves a core edge outward (raised, as `advance` raises), or
-    ``max_steps``.  If that tick leaves the swarm apart, the caller goes on
-    with `advance`.  With a ``sink``, each pass emits its rows at stride
-    multiples, but not the last tick's, which the caller emits; a sink that
-    raises leaves the state built at the end of that pass.
+    ``max_steps``.  The swarm gathers at the first tick at which each end's
+    own ``x_2`` and ``x_{N-1}``, which the arrays hold, lie within one unit:
+    there the new ``x_2`` is the left end's own or a key the right end
+    moved, at most one unit below the right end's ``x_{N-1}`` before the
+    tick; the new ``x_{N-1}`` is the mirror image; and keys the two ends
+    moved lie less than one unit apart, as the core was wider than one
+    unit.  So a jump that ends apart before ``max_steps`` raises.  With a
+    ``sink``, each pass emits its rows at stride multiples, but not the
+    last tick's, which the caller emits; a sink that raises leaves the
+    state built at the end of that pass.
     """
     n, pool = state._n, state._pool
     keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)
@@ -798,8 +798,9 @@ def _jump_to_gathering(
     want = 2 * -(-draws // (2 * planned))  # draws a pass
     walk = phase = (0, 0)  # X and P of the left and right end before the next tick
     t = both = 0
+    final = False  # the pass that runs the last tick
     try:
-        while t < max_steps:
+        while not final:
             src = pool.ahead(min(want, 2 * (max_steps - t)))
             planned -= 1
             if planned <= 0:
@@ -825,14 +826,11 @@ def _jump_to_gathering(
             both += int(np.count_nonzero(back[:ran, 0] & back[:ran, 1]))
             x2, xp = int(low[ran - 1]), -int(high[ran - 1])  # before the last tick
             t += ran
+            final = stop.size > 0 or t == max_steps
             walk, phase = x[:, ran].tolist(), p[:, ran].tolist()
-            if sink is not None:
-                final = stop.size or t == max_steps
-                _jump_rows(state, ends, x, p, seconds, t - ran, ran - 1 if final else ran,
-                           stride, sink)
+            if sink is not None:  # the last tick's row is the caller's
+                _jump_rows(state, ends, x, p, seconds, t - ran, ran - final, stride, sink)
             del x, p, seconds, low, high
-            if stop.size:
-                break
     finally:
         ends.move(phase, [p - x for p, x in zip(phase, walk)])
         keys.sort()
@@ -851,6 +849,9 @@ def _jump_to_gathering(
     if x2_after < x2 or xp_after > xp:
         state._failed += 1
         raise state._outward_error(state.t, x2, xp, x2_after, xp_after)
+    if not state.gathered and t < max_steps:
+        state._failed += 1
+        raise InvariantViolationError(f"gathering jump ended apart at t={state.t}")
 
 
 def run_until_gathered(
@@ -862,14 +863,14 @@ def run_until_gathered(
     """Step until ``state.gathered``, or ``max_steps`` ticks pass.
 
     For ``N <= 3`` the core span is 0 by definition and T = 0.  When a
-    ``sink`` is given, a trajectory row is emitted at entry and at every
-    tick that is a multiple of ``stride`` (plus the final tick).  A
+    ``sink`` is given, a trajectory row is emitted at entry, at every tick
+    that is a multiple of ``stride`` and at the last tick, once.  A
     bilateral swarm that is not gathered jumps to its gathering tick in
     numpy (the two ends as reflected walks, see the module docstring),
-    taking its rows from the jump's arrays; the unilateral modes, and any
-    tick after a jump that stopped short of gathering, use `advance`
-    calls of at most ``stride`` ticks.  Every path leaves the identical
-    state, pool and tallies, and emits the identical rows.
+    taking its rows from the jump's arrays; the jump always ends gathered
+    or at ``max_steps``.  The unilateral modes use `advance` calls of at
+    most ``stride`` ticks.  Both paths leave the state, pool and tallies of
+    a tick-at-a-time run, and emit its rows.
     """
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
@@ -877,21 +878,20 @@ def run_until_gathered(
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if sink is not None:
         _emit(state, sink)
-    t0 = state.t
-    end = t0 + max_steps
-    if state.mode == BILATERAL and not state.gathered and max_steps:
+    if state.gathered or not max_steps:
+        return GatheringResult(state.t, state.gathered, state)
+    if state.mode == BILATERAL:
         _jump_to_gathering(state, max_steps, sink, stride)
-        if sink is not None and state.t % stride == 0:
-            _emit(state, sink)
-    if sink is None:
-        state.advance(end - state.t, until_gathered=True)
+    elif sink is None:
+        state.advance(max_steps, until_gathered=True)
     else:
-        while state.t < end and not state.gathered:
-            state.advance(min(end - state.t, stride - state.t % stride), until_gathered=True)
-            if state.t % stride == 0:
-                _emit(state, sink)
-        if state.t != t0 and state.t % stride != 0:
+        end = state.t + max_steps
+        state.advance(min(max_steps, stride - state.t % stride), until_gathered=True)
+        while state.t < end and not state.gathered:  # at a stride multiple
             _emit(state, sink)
+            state.advance(min(end - state.t, stride), until_gathered=True)
+    if sink is not None:
+        _emit(state, sink)
     return GatheringResult(state.t, state.gathered, state)
 
 

@@ -155,16 +155,13 @@ def _unit(dx: float, dy: float) -> tuple[float, float]:
     return dx / norm, dy / norm
 
 
-def _hull_bisectors(
-    verts: list[int], coords: list[tuple[float, float]]
-) -> list[tuple[float, float] | None]:
-    h = len(verts)
-    if h == 1:
-        return [None]
+def _hull_bisectors(coords: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Unit interior bisectors of a CCW ring of two vertices or more."""
+    h = len(coords)
     if h == 2:
         (ax, ay), (bx, by) = coords
         return [_unit(bx - ax, by - ay), _unit(ax - bx, ay - by)]
-    out: list[tuple[float, float] | None] = []
+    out: list[tuple[float, float]] = []
     for i in range(h):
         vx, vy = coords[i]
         px, py = coords[i - 1]
@@ -298,7 +295,7 @@ def _monotone_chain(pts: np.ndarray, index: Sequence[int]) -> HullInfo:
     ring = lower[:-1] + upper[:-1]
 
     verts = [first_index[xy] for xy in ring]
-    return HullInfo(tuple(verts), tuple(ring), tuple(_hull_bisectors(verts, ring)))
+    return HullInfo(tuple(verts), tuple(ring), tuple(_hull_bisectors(ring)))
 
 
 def convex_hull(points: Sequence) -> HullInfo:

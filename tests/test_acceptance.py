@@ -172,6 +172,18 @@ def test_c05_unilateral_sweep(unilateral_run):
         )
 
 
+def test_c05_sweep_mean_is_exact(unilateral_run):
+    # the sweep ends at the right end's third net inward move (1.7 to 0.7,
+    # 0.7 to -0.3, 0.5 to -0.5): its walk's first passage three levels down,
+    # so E[T] = 3/(1 - 2*0.1) = 3.75 exactly.  A sweep that runs too fast
+    # passes criterion 5 and fails here
+    row, _ = unilateral_run
+    with criterion(5, "beacon sweep: mean time within 3 SE of the exact 3.75"):
+        assert abs(row.mean - 3.75) <= 3 * row.stderr, (
+            f"mean {row.mean} vs 3.75 +- {3 * row.stderr}"
+        )
+
+
 def test_c06_gathering_guarantee(gathering_sweep):
     result, elapsed = gathering_sweep
     with criterion(6, "N=100 S0=100 eps=0.1: all 100 trials gather, mean T <= mean bound, <2min"):

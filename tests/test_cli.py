@@ -337,6 +337,19 @@ class TestExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_convergence_bytes_do_not_depend_on_the_worker_count(self, tmp_path):
+        # each run in its own process, so that --jobs 2 starts a real pool
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lineswarm.cli", "experiment", "--config",
+                 str(CONFIGS / "convergence_vs_n.json"), "--jobs", jobs,
+                 "--out", str(tmp_path / jobs)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("results.csv", "results.jsonl"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     @pytest.mark.parametrize("config", ["span_distribution", "centroid_drift"])
     def test_post_gathering_config_at_its_real_scale(self, config, tmp_path):
         # 10^7 and 10^6 ticks after gathering, by shape-table lookups

@@ -6,12 +6,12 @@ from bisect import insort
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lineswarm import sim1d
@@ -721,6 +721,33 @@ class TestAdvance:
         assert by_advance._pool.block == by_tick._pool.block
         assert by_advance.invariant_checks == by_tick.invariant_checks == 20
 
+    @pytest.mark.parametrize("start, block", [
+        ([0.0, 0.25, 0.5, 0.75, 1.0], 512),
+        (dyadic_start(9, 1.0, 3), 512),
+        (dyadic_start(9, 1.0, 3), 3),  # three blocks
+    ])
+    def test_outward_core_edge_raises_as_the_reference_does(self, start, block):
+        # a gathered swarm flagged apart before each tick: the first tick that
+        # moves x_2 down or x_{N-1} up raises, leaving what the exact
+        # reference, forged the same way, leaves
+        ref = ExactSwarm(start, 0.3, 7, BILATERAL)
+        with block_size(block):
+            s = new_swarm(start, 0.3, 7)
+            s.advance(20)  # the pool mid-block
+            ref.run(20, False)
+            assert s.gathered and ref.gathered
+            for _ in range(1000):
+                s.gathered = ref.gathered = False
+                got = outcome(lambda: s.advance(1))
+                assert got == outcome(ref.tick)
+                if got[0] == "raised":
+                    break
+            assert_layout(s)
+        assert got[1].startswith(f"core edge moved outward at t={s.t}:")
+        assert s.invariant_checks == s.t - 1
+        assert observed(s) == ref.observed()
+        assert take(s._pool, 10) == take(ref.pool, 10)
+
     @pytest.mark.parametrize("positions", [[0.5], [0.5, 3.0], [0.0, 1.5, 4.0, 9.0]])
     def test_negative_ticks_rejected(self, positions):
         s = new_swarm(positions, 0.1, 1)
@@ -1082,6 +1109,61 @@ class TestGatheringJump:
         assert not stepped.gathered
         assert jump_outcome(jumped) == jump_outcome(stepped)
 
+    def test_bilateral_runs_never_step_advance(self, monkeypatch):
+        # the jump ends every bilateral gathering: with `advance` made to
+        # raise, runs from ungathered starts, some after ticks that leave the
+        # pool mid-block, gather with and without a sink
+        starts = [(SHORT_START, 0.45, seed) for seed in SHORT_SEEDS]  # several passes
+        starts += [(dyadic_start(n, 30.0, n), eps, 5) for n in (4, 9, 40, 1100)
+                   for eps in (0.0, 0.2)]
+        runs = []
+        for start, eps, seed in starts:
+            for pre in (0, 7):
+                plain, sunk = new_swarm(start, eps, seed), new_swarm(start, eps, seed)
+                plain.advance(pre)
+                sunk.advance(pre)
+                assert not plain.gathered
+                runs.append((plain, sunk))
+
+        def refused(state, ticks, until_gathered=False):
+            raise AssertionError("advance ran in a bilateral gathering")
+
+        monkeypatch.setattr(sim1d.SwarmState1D, "advance", refused)
+        for plain, sunk in runs:
+            assert run_until_gathered(plain, 10**7).reached
+            rows = []
+            assert run_until_gathered(sunk, 10**7, sink=rows.append, stride=5).reached
+            assert rows[-1] == metrics_row(sunk)
+            assert jump_outcome(sunk) == jump_outcome(plain)
+
+    @given(st.lists(st.integers(-40, 40).map(lambda k: k * 0.25), min_size=4, max_size=12),
+           st.sampled_from([0.0, 0.1, 0.3, 0.45]), st.integers(0, 2**32), st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_jump_ends_gathered_or_at_max_steps(self, positions, eps, seed, max_steps):
+        s = new_swarm(positions, eps, seed)
+        assume(not s.gathered)
+        sim1d._jump_to_gathering(s, max_steps)
+        assert s.gathered or s.t == max_steps
+
+    def test_one_end_views_gathered_iff_gathered(self):
+        # one tick from every apart swarm of 4 to 7 agents on the quarter
+        # grid over [0, 3], under all four draw pairs: the swarm after it is
+        # gathered exactly when the left end's x_2 after its own move alone
+        # and the right end's x_{N-1} after its own lie within one unit, the
+        # test the gathering jump stops on.  Positions in quarter units
+        unit, checked = 4, 0
+        for n in (4, 5, 6, 7):
+            for pos in combinations_with_replacement(range(3 * unit + 1), n):
+                if pos[-2] - pos[1] <= unit:
+                    continue
+                for d_left, d_right in product((unit, -unit), (-unit, unit)):
+                    left = sorted([pos[0] + d_left, *pos[1:]])
+                    right = sorted([*pos[:-1], pos[-1] + d_right])
+                    both = sorted([pos[0] + d_left, *pos[1:-1], pos[-1] + d_right])
+                    assert (both[-2] - both[1] <= unit) == (right[-2] - left[1] <= unit)
+                    checked += 1
+        assert checked == 195_360
+
 
 def spans_by_advance(state, samples, stride):
     """The scalar reference for `sample_total_spans`."""
@@ -1284,6 +1366,38 @@ class TestUnilateralSweep:
     def test_requires_unilateral_mode(self):
         with pytest.raises(ValidationError):
             run_unilateral_sweep(new_swarm([0.0, 0.5], 0.1, 1), 10)
+
+    @staticmethod
+    def forged_sweep(monkeypatch, forge):
+        """The deterministic sweep of `test_deterministic_two_agents`, which
+        crosses the beacon at t = 2 and 3, through a wrapped `advance` that
+        returns ``forge(state, d_right)`` as the right end's direction."""
+        advance = sim1d.SwarmState1D.advance
+
+        def forged(state, ticks, until_gathered=False):
+            d_left, d_right = advance(state, ticks, until_gathered)
+            return d_left, forge(state, d_right)
+
+        s = new_swarm([0.0, 0.5, 1.7], 0.0, 1, mode=UNILATERAL_RIGHT)
+        monkeypatch.setattr(sim1d.SwarmState1D, "advance", forged)
+        return run_unilateral_sweep(s, 100)
+
+    def test_hidden_crossing_raises(self, monkeypatch):
+        def hide_first(state, d_right):
+            return 0 if state.t == 2 else d_right
+
+        with pytest.raises(InvariantViolationError, match="expected 2 beacon crossings, counted 1"):
+            self.forged_sweep(monkeypatch, hide_first)
+
+    def test_agent_left_below_the_beacon_raises(self, monkeypatch):
+        def plant(state, d_right):
+            first = state._blocks[0]
+            if state.t == 1:  # a key two units below the beacon
+                first.insert(0, first[0] - 2 * state.n_agents)
+            return d_right
+
+        with pytest.raises(InvariantViolationError, match=r"outside \(beacon-1, beacon\]"):
+            self.forged_sweep(monkeypatch, plant)
 
     def test_monte_carlo_mean_matches_sweep_bound(self):
         # expected sweep time for beacon 0, agents {0.5, 1.7} is exactly 3.75
