@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -237,17 +238,17 @@ def gathering_bound_unilateral(positions: Sequence[float], p: WalkParams) -> flo
 
     ``positions[0]`` is the beacon; the remaining agents must lie
     strictly above it, strictly increasing.  When only the rightmost agent
-    moves, every agent crosses the beacon exactly once and the sweep ends
-    after an expected ``(1/(1-2 eps)) * sum(floor(x_k - x_0) + 1)`` ticks,
-    leaving all agents in ``(x_0 - 1, x_0]``.
+    moves, the sweep ends at the first passage of its walk to ``P* =
+    sum(ceil(x_k - x_0))`` inward moves, after ``P*/(1 - 2 eps)`` expected
+    ticks, with every agent in ``(x_0 - 1, x_0]``.
     """
     x = _finite_positions(positions)
     if x.size < 2:
         raise ValidationError("need a beacon plus at least one agent")
     if (x[1:] <= x[:-1]).any():
         raise ValidationError("positions must be strictly increasing")
-    beacon, *agents = x.tolist()
-    total = sum(math.floor(v - beacon) + 1 for v in agents)  # exact, in ints
+    beacon, *agents = map(Fraction, x.tolist())
+    total = sum(math.ceil(v - beacon) for v in agents)  # P*, exact in ints
     return total / (1.0 - 2.0 * p.epsilon)
 
 

@@ -62,16 +62,17 @@ Two theorem-backed invariants are checked on every tick and raise
 
 * while the core span ``x_{N-1} - x_2`` exceeds 1, ``x_2`` never
   decreases and ``x_{N-1}`` never increases;
-* in bilateral mode, once the core span drops to <= 1 it never exceeds
-  1 again.  (This is false in unilateral modes, where the frozen far
-  extremist is counted in the core; the check is bilateral-only.)
+* once the core span drops to <= 1 it never exceeds 1 again, in every
+  mode.  One-sided, let the right end move ``x_N`` to ``y`` (the left
+  mirrors it).  A turn-back or ``y >= x_{N-1}`` keeps the core;
+  ``x_2 <= y < x_{N-1}`` sets ``x_{N-1}`` to ``max(x_{N-2}, y)``, no higher;
+  ``x_1 <= y < x_2`` leaves ``x_{N-2} - y <= 1``; ``y < x_1``, a span <= 1.
 
 `SwarmState1D.gathered`, the one gathering test, is ``core_span <= 1``
-after construction and after every tick in every mode; in the
-unilateral modes it can fall back to False.
+after construction and after every tick in every mode.
 
-`run_until_gathered` jumps a bilateral swarm to its gathering tick T in
-numpy, since until T the two ends never move the same agent.  Take the
+`run_until_gathered` jumps a swarm to its gathering tick T in numpy,
+since until T the two ends never move the same agent.  Take the
 left end's draws as +1 (inward) and -1 (turn back), their running sum
 ``X_t``, the phase ``P_t = max(0, max_{u<=t} X_u)`` and the depth ``D_t
 = P_t - X_t``: a walk reflected at its running maximum.  After t ticks
@@ -87,12 +88,13 @@ and the right end's at most one unit below its ``x_{N-1}``, so strictly
 above ``x_2``: neither end sees the other's agents.  At T both moves
 read the state before the tick, so the state at T is the two ends' moves
 together, and T is the first tick at which each end's own ``x_2`` and
-``x_{N-1}`` lie within one unit (`_jump_to_gathering` shows why).  The
-jump checks the core-edge invariant on every tick, as arrays, and builds
-the blocks once, at T.  The same arrays give the trajectory rows before
-T: ``x_2`` and ``x_{N-1}``, each extreme as its end's closure entry P
-less D units, and the centroid from the turn-backs, ``(t - X_t)/2`` at
-each end.  Its memory is O(N + T).
+``x_{N-1}`` lie within one unit (`_jump_to_gathering` shows why).  A
+one-sided swarm holds one walk still at ``X = P = 0``.  The jump checks
+the core-edge invariant on every tick, as arrays, and builds the blocks
+once, at T.  The same arrays give the trajectory rows before T: ``x_2``
+and ``x_{N-1}``, each extreme as its end's closure entry P less D units,
+and the centroid from each end's net inward moves ``X_t``.  Its memory
+is O(N + T).
 
 The jump runs in numpy passes over the draws ahead, and each pass needs
 the two ends' closures listed as far as its phases reach.  Both are
@@ -101,9 +103,9 @@ sized from the start: the ends meet near the mean position, after about
 ``1 - 2*epsilon`` a tick.  So the passes take the draws of the ticks that
 P and two standard deviations of the walk need, in equal passes of at
 most ``_JUMP_CAP`` draws, and the first listing covers P and four
-standard deviations.  Nearly every run gathers within them, with one
-listing per end; a run that does not goes on in passes of twice as many
-draws and lists its ends anew, at least twice as far.
+standard deviations.  Nearly every bilateral run gathers within them,
+with one listing per end; a run that does not goes on in passes of twice
+as many draws and lists its ends anew, at least twice as far.
 
 After gathering, `sample_total_spans` runs a bilateral swarm of one
 block by table lookups.  The dynamics commute with adding one integer to
@@ -179,6 +181,8 @@ BILATERAL = "bilateral"
 UNILATERAL_RIGHT = "unilateral-right"
 UNILATERAL_LEFT = "unilateral-left"
 MODES = frozenset({BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT})
+# 1 for each end, left and right, that moves in a mode
+_MOVERS = {BILATERAL: (1, 1), UNILATERAL_RIGHT: (0, 1), UNILATERAL_LEFT: (1, 0)}
 
 _MAX_MAGNITUDE = 2.0**52
 _WALK_STEP_CAP = 1_000_000_000
@@ -393,13 +397,15 @@ class SwarmState1D:
         return self._backs
 
     def centroid(self) -> float:
-        # the exact sum rounded once, so the value depends on the multiset of
-        # positions only.  Each tick moves each moving end one unit inward,
-        # and each turn-back moves it two units back.
+        # the exact sum rounded once: it depends on the multiset of positions only
+        return math.fsum(self._sum + (self._moves(),)) / self._n
+
+    def _moves(self) -> int:
+        """Net unit moves of all agents: one inward a tick per moving end,
+        less two per turn-back."""
+        move_left, move_right = _MOVERS[self.mode]
         left, right, _ = self._backs
-        drift = (self.mode == UNILATERAL_LEFT) - (self.mode == UNILATERAL_RIGHT)
-        moves = drift * self.t + 2 * (right - left) if self._n > 1 else 0
-        return math.fsum(self._sum + (moves,)) / self._n
+        return (move_left - move_right) * self.t + 2 * (right - left) if self._n > 1 else 0
 
     # -- stepping ----------------------------------------------------------
 
@@ -421,9 +427,7 @@ class SwarmState1D:
 
         first, last = self._blocks[0], self._blocks[-1]
         multi = first is not last  # else the block bookkeeping is skipped
-        mode = self.mode
-        move_left = mode != UNILATERAL_RIGHT
-        move_right = mode != UNILATERAL_LEFT
+        move_left, move_right = _MOVERS[self.mode]
         check_core = n >= 4
         keep = 1.0 - self.params.epsilon
         pool = self._pool
@@ -482,7 +486,7 @@ class SwarmState1D:
                     if not gathered and (x2_after < x2 or xp_after > xp):
                         raise self._outward_error(t, x2, xp, x2_after, xp_after)
                     core_after = xp_after - x2_after
-                    if core_after > n and gathered and mode == BILATERAL:
+                    if core_after > n and gathered:
                         raise InvariantViolationError(
                             f"gathered core reopened at t={t}: core span {self.core_span}"
                         )
@@ -726,9 +730,7 @@ def _jump_rows(state, ends, x, p, seconds, t, ticks, stride, sink) -> None:
     extreme = ends.entries(phase) - (phase - walk) * n
     x_min, x_max = double(extreme[0]), double(-extreme[1])
     core = double(-seconds[1, at]) - double(seconds[0, at])
-    # centroid moves: 2*(right - left) turn-backs, each end's being (t - X)/2
-    left, right, _ = state._backs
-    moves = walk[0] - walk[1] + 2 * (right - left)
+    moves = walk[0] - walk[1] + state._moves()  # X: an end's net inward moves
     total = state._sum
     for tick, move, core_span, x1, xn in zip(
         range(t + int(at[0]), t + ticks + 1, stride),
@@ -765,12 +767,13 @@ def _jump_to_gathering(
     sink: Callable[[TrajectoryRow], None] | None = None,
     stride: int = 1,
 ) -> None:
-    """Run a bilateral swarm's ticks up to gathering or ``max_steps`` in numpy.
+    """Run a swarm's ticks up to gathering or ``max_steps`` in numpy.
 
     Leaves the state, the pool and every tally as `SwarmState1D.advance`
     with ``until_gathered`` would; the module docstring gives the method.
-    Each pass reads the pool's draws ahead.  The first passes share two
-    draws a tick for the ticks `_gathering_estimate` expects, plus
+    Each pass reads the pool's draws ahead, one a tick for each moving
+    end.  The first passes share the draws of the ticks
+    `_gathering_estimate` expects, plus
     ``_JUMP_DRAWS``, equally, at most ``_JUMP_CAP`` each; each pass after
     them reads twice as many as the one before, at most ``_JUMP_CAP``.
     The state is built once, at the last tick run: the tick that gathers,
@@ -781,35 +784,41 @@ def _jump_to_gathering(
     moved, at most one unit below the right end's ``x_{N-1}`` before the
     tick; the new ``x_{N-1}`` is the mirror image; and keys the two ends
     moved lie less than one unit apart, as the core was wider than one
-    unit.  So a jump that ends apart before ``max_steps`` raises.  With a
-    ``sink``, each pass emits its rows at stride multiples, but not the
-    last tick's, which the caller emits; a sink that raises leaves the
-    state built at the end of that pass.
+    unit, and a still end moves no key.  So a jump that ends apart before
+    ``max_steps`` raises.  With a ``sink``, each pass emits its rows at
+    stride multiples, but not the last tick's, which the caller emits; a
+    sink that raises leaves the state built at the end of that pass.
     """
     n, pool = state._n, state._pool
+    move_left, move_right = _MOVERS[state.mode]
+    width = move_left + move_right  # draws a tick, the left end's first
+    moving = slice(1 - move_left, 1 + move_right)  # the moving ends' columns
     keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)
     state._blocks = []  # N Python ints: the passes need only ``keys``
     eps = state.params.epsilon
     keep = 1.0 - eps
     reach, ticks = _gathering_estimate(keys, n, eps)
     ends = _InwardEnds(keys, n, min(reach, max_steps))
-    draws = 2 * ticks + _JUMP_DRAWS
+    draws = width * ticks + _JUMP_DRAWS
     planned = -(-draws // _JUMP_CAP)  # passes that share them
-    want = 2 * -(-draws // (2 * planned))  # draws a pass
+    want = width * -(-draws // (width * planned))  # draws a pass
     walk = phase = (0, 0)  # X and P of the left and right end before the next tick
     t = both = 0
     final = False  # the pass that runs the last tick
     try:
         while not final:
-            src = pool.ahead(min(want, 2 * (max_steps - t)))
+            src = pool.ahead(min(want, width * (max_steps - t)))
             planned -= 1
             if planned <= 0:
                 want = min(2 * want, _JUMP_CAP)
-            ticks = src.size // 2
-            back = src[: 2 * ticks].reshape(ticks, 2) >= keep  # columns: left, right
+            ticks = src.size // width
+            back = src[: width * ticks].reshape(ticks, width) >= keep  # columns: moving ends
             x = np.empty((ticks + 1, 2), np.int64)
-            np.multiply(back, -2, out=x[1:])
-            x[1:] += 1
+            inward = x[1:, moving]
+            np.multiply(back, -2, out=inward)
+            inward += 1
+            if width == 1:  # the still end's walk stays at 0
+                x[1:, move_left] = 0
             x[0] = walk
             np.cumsum(x, axis=0, out=x)
             x = x.T.copy()  # rows: left, right
@@ -822,8 +831,9 @@ def _jump_to_gathering(
             stop |= (seconds[:, 1:] < seconds[:, :-1]).any(axis=0)
             stop = np.flatnonzero(stop)
             ran = int(stop[0]) + 1 if stop.size else ticks
-            pool.consume(2 * ran)
-            both += int(np.count_nonzero(back[:ran, 0] & back[:ran, 1]))
+            pool.consume(width * ran)
+            if width == 2:
+                both += int(np.count_nonzero(back[:ran, 0] & back[:ran, 1]))
             x2, xp = int(low[ran - 1]), -int(high[ran - 1])  # before the last tick
             t += ran
             final = stop.size > 0 or t == max_steps
@@ -837,11 +847,11 @@ def _jump_to_gathering(
         state._blocks = blocks = [block.tolist() for block in _cut(keys)]
         state._tops = [block[-1] for block in blocks[1:-1]]
         state.t += t
-        # each end's X counts inward ticks less turn-backs
+        # a moving end's X counts inward ticks less turn-backs
         left_backs, right_backs, both_backs = state._backs
         state._backs = (
-            left_backs + (t - walk[0]) // 2,
-            right_backs + (t - walk[1]) // 2,
+            left_backs + move_left * (t - walk[0]) // 2,
+            right_backs + move_right * (t - walk[1]) // 2,
             both_backs + both,
         )
         x2_after, xp_after = blocks[0][1], blocks[-1][-2]
@@ -864,13 +874,11 @@ def run_until_gathered(
 
     For ``N <= 3`` the core span is 0 by definition and T = 0.  When a
     ``sink`` is given, a trajectory row is emitted at entry, at every tick
-    that is a multiple of ``stride`` and at the last tick, once.  A
-    bilateral swarm that is not gathered jumps to its gathering tick in
-    numpy (the two ends as reflected walks, see the module docstring),
-    taking its rows from the jump's arrays; the jump always ends gathered
-    or at ``max_steps``.  The unilateral modes use `advance` calls of at
-    most ``stride`` ticks.  Both paths leave the state, pool and tallies of
-    a tick-at-a-time run, and emit its rows.
+    that is a multiple of ``stride`` and at the last tick, once.  A swarm
+    not yet gathered, in any mode, jumps to its gathering tick in numpy
+    (the moving ends as reflected walks, see the module docstring); the
+    jump leaves the state, pool, tallies and rows of a tick-at-a-time run,
+    and ends gathered or at ``max_steps``.
     """
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
@@ -880,16 +888,7 @@ def run_until_gathered(
         _emit(state, sink)
     if state.gathered or not max_steps:
         return GatheringResult(state.t, state.gathered, state)
-    if state.mode == BILATERAL:
-        _jump_to_gathering(state, max_steps, sink, stride)
-    elif sink is None:
-        state.advance(max_steps, until_gathered=True)
-    else:
-        end = state.t + max_steps
-        state.advance(min(max_steps, stride - state.t % stride), until_gathered=True)
-        while state.t < end and not state.gathered:  # at a stride multiple
-            _emit(state, sink)
-            state.advance(min(end - state.t, stride), until_gathered=True)
+    _jump_to_gathering(state, max_steps, sink, stride)
     if sink is not None:
         _emit(state, sink)
     return GatheringResult(state.t, state.gathered, state)

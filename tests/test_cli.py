@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from lineswarm import cli, rw_analytics, sim2d
 from lineswarm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from lineswarm.errors import ValidationError
+from lineswarm.seeding import child_seed
+from lineswarm.sim1d import new_swarm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -158,6 +160,30 @@ class TestSim1d:
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (
             tmp_path / "b" / "trajectory.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["unilateral-left", "unilateral-right"])
+    def test_one_sided_rows_match_advance(self, tmp_path, mode):
+        # a one-sided run writes the rows of an advance(1) loop from the same
+        # start and stream: at entry, every third tick and the gathering tick
+        start = [0.25, 1.5, 3.75, 7.0, 9.5]
+        code = run_cli("sim1d", "--positions", ",".join(map(str, start)), "--epsilon", "0.2",
+                       "--seed", "5", "--mode", mode, "--stride", "3", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        with open(tmp_path / "trajectory.csv", encoding="utf-8", newline="") as fh:
+            got = [(int(t), *map(float, rest)) for t, *rest in list(csv.reader(fh))[1:]]
+
+        def row(s):
+            return s.t, s.centroid(), s.core_span, s.total_span, s.positions[0], s.positions[-1]
+
+        state = new_swarm(start, 0.2, child_seed(5, "cli-sim1d-dyn", 0), mode)
+        want = [row(state)]
+        while not state.gathered:
+            state.advance(1)
+            if state.t % 3 == 0:
+                want.append(row(state))
+        if state.t % 3:
+            want.append(row(state))
+        assert len(want) > 3 and got == want
 
     def test_domain_error_nonzero(self, tmp_path):
         code = run_cli(

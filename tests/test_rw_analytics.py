@@ -252,6 +252,8 @@ class TestSweepBound:
     def test_pinned_values(self):
         assert gathering_bound_unilateral((0.0, 0.5, 1.7), WalkParams(0.1)) == pytest.approx(3.75)
         assert gathering_bound_unilateral((0.0, 0.5), WalkParams(0.0)) == pytest.approx(1.0)
+        # agents a whole number of units above the beacon need no extra move
+        assert gathering_bound_unilateral((0.0, 1.0, 2.0), WalkParams(0.1)) == pytest.approx(3.75)
         assert gathering_bound_unilateral(
             np.array([0.0, 2.3, 2.4, 2.5]), WalkParams(0.25)
         ) == pytest.approx(18.0)

@@ -391,14 +391,16 @@ class TestGathering:
         assert res.T <= bound
 
     def test_gathered_core_never_reopens(self):
-        # keep stepping long after gathering: the built-in check must stay quiet
-        rng = np.random.default_rng(4)
-        s = new_swarm(rng.uniform(0, 12, 8), 0.25, 17)
-        res = run_until_gathered(s, 1_000_000)
-        assert res.reached
-        for _ in range(50_000):
-            s.advance(1)
-            assert s.core_span <= 1.0
+        # keep stepping long after gathering, in every mode: the built-in
+        # check must stay quiet
+        start = np.random.default_rng(4).uniform(0, 12, 8)
+        for mode in (BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT):
+            s = new_swarm(start, 0.25, 17, mode)
+            res = run_until_gathered(s, 1_000_000)
+            assert res.reached
+            for _ in range(50_000):
+                s.advance(1)
+                assert s.core_span <= 1.0
 
     def test_pre_gathering_core_edges_monotone(self):
         rng = np.random.default_rng(5)
@@ -630,7 +632,7 @@ class ExactSwarm:
                     f"x2 {float(x2_before)} -> {float(pos[1])}, "
                     f"x_(N-1) {float(xp_before)} -> {float(pos[-2])}"
                 )
-            if pos[-2] - pos[1] > 1 and self.gathered and self.mode == BILATERAL:
+            if pos[-2] - pos[1] > 1 and self.gathered:
                 raise InvariantViolationError(
                     f"gathered core reopened at t={self.t}: "
                     f"core span {float(pos[-2]) - float(pos[1])}"
@@ -757,12 +759,11 @@ class TestAdvance:
 
     @staticmethod  # no instance, so the runs below can call it too
     @given(spread_positions, st.sampled_from([0.0, 0.1, 0.2, 0.45]), st.integers(0, 2**32),
-           st.integers(0, 60), st.integers(0, 3000), st.integers(1, 40))
+           st.integers(0, 60), st.integers(0, 3000), st.integers(1, 40), modes_st)
     @settings(max_examples=60, deadline=None)
-    def test_gathering_rows_match_tick_loop(positions, eps, seed, pre, max_steps, stride):
-        # the jump's arrays and the stride chunks of run_until_gathered emit
-        # the rows of a per-tick loop
-        jumped, s = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
+    def test_gathering_rows_match_tick_loop(positions, eps, seed, pre, max_steps, stride, mode):
+        # the jump's arrays emit the rows of a per-tick loop, in every mode
+        jumped, s = (new_swarm(positions, eps, seed, mode) for _ in range(2))
         jumped.advance(pre)  # the pool mid-block
         s.advance(pre)
         rows = []
@@ -956,18 +957,21 @@ def high_at_start(ends, phase, seconds=sim1d._InwardEnds.seconds):
 class TestGatheringJump:
     @staticmethod  # no instance, so the small-block run below can call it too
     @given(jump_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 60),
-           st.floats(0.0, 1.5))
-    @example([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99, 0, 1.0)
-    @example([-300.0, 0.25, 0.5, 3.0, 7.75], 0.2, 3, 7, 1.5)
-    @example([0.0, 0.5, 1.0, 1.5, 100.0, 100.5, 101.0, 101.5], 0.0, 1, 0, 0.5)
+           st.floats(0.0, 1.5), modes_st)
+    @example([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99, 0, 1.0, BILATERAL)
+    @example([-300.0, 0.25, 0.5, 3.0, 7.75], 0.2, 3, 7, 1.5, BILATERAL)
+    @example([-300.0, 0.25, 0.5, 3.0, 7.75], 0.2, 3, 7, 1.5, UNILATERAL_LEFT)
+    @example([0.0, 0.5, 1.0, 1.5, 100.0, 100.5, 101.0, 101.5], 0.0, 1, 0, 0.5, BILATERAL)
+    @example([0.0, 0.5, 1.0, 1.5, 100.0, 100.5, 101.0, 101.5], 0.0, 1, 0, 1.0,
+             UNILATERAL_RIGHT)
     @settings(max_examples=150, deadline=None)
-    def test_jump_matches_advance(positions, eps, seed, pre, frac):
+    def test_jump_matches_advance(positions, eps, seed, pre, frac, mode):
         # max_steps a fraction of the gathering time: timeouts, T itself and beyond
-        timing = new_swarm(positions, eps, seed)
+        timing = new_swarm(positions, eps, seed, mode)
         timing.advance(pre)
         timing.advance(10**7, until_gathered=True)
         max_steps = int(frac * (timing.t - pre))
-        jumped, stepped = new_swarm(positions, eps, seed), new_swarm(positions, eps, seed)
+        jumped, stepped = (new_swarm(positions, eps, seed, mode) for _ in range(2))
         jumped.advance(pre)  # the pool mid-block
         stepped.advance(pre)
         res = run_until_gathered(jumped, max_steps)
@@ -1109,24 +1113,24 @@ class TestGatheringJump:
         assert not stepped.gathered
         assert jump_outcome(jumped) == jump_outcome(stepped)
 
-    def test_bilateral_runs_never_step_advance(self, monkeypatch):
-        # the jump ends every bilateral gathering: with `advance` made to
+    def test_gatherings_never_step_advance(self, monkeypatch):
+        # the jump ends every gathering, in every mode: with `advance` made to
         # raise, runs from ungathered starts, some after ticks that leave the
         # pool mid-block, gather with and without a sink
         starts = [(SHORT_START, 0.45, seed) for seed in SHORT_SEEDS]  # several passes
         starts += [(dyadic_start(n, 30.0, n), eps, 5) for n in (4, 9, 40, 1100)
                    for eps in (0.0, 0.2)]
         runs = []
-        for start, eps, seed in starts:
-            for pre in (0, 7):
-                plain, sunk = new_swarm(start, eps, seed), new_swarm(start, eps, seed)
-                plain.advance(pre)
-                sunk.advance(pre)
-                assert not plain.gathered
-                runs.append((plain, sunk))
+        for (start, eps, seed), mode, pre in product(
+                starts, (BILATERAL, UNILATERAL_RIGHT, UNILATERAL_LEFT), (0, 7)):
+            plain, sunk = (new_swarm(start, eps, seed, mode) for _ in range(2))
+            plain.advance(pre)
+            sunk.advance(pre)
+            assert not plain.gathered
+            runs.append((plain, sunk))
 
         def refused(state, ticks, until_gathered=False):
-            raise AssertionError("advance ran in a bilateral gathering")
+            raise AssertionError("advance ran in a gathering")
 
         monkeypatch.setattr(sim1d.SwarmState1D, "advance", refused)
         for plain, sunk in runs:
@@ -1398,20 +1402,6 @@ class TestUnilateralSweep:
 
         with pytest.raises(InvariantViolationError, match=r"outside \(beacon-1, beacon\]"):
             self.forged_sweep(monkeypatch, plant)
-
-    def test_monte_carlo_mean_matches_sweep_bound(self):
-        # expected sweep time for beacon 0, agents {0.5, 1.7} is exactly 3.75
-        p = WalkParams(0.1)
-        times = []
-        for trial in range(20_000):
-            s = new_swarm([0.0, 0.5, 1.7], p, (11, trial), mode=UNILATERAL_RIGHT)
-            res = run_unilateral_sweep(s, 100_000)
-            assert res.finished
-            assert all(-1.0 < x <= 0.0 for x in res.final_state.positions)
-            times.append(res.T)
-        mean = np.mean(times)
-        se = np.std(times, ddof=1) / math.sqrt(len(times))
-        assert abs(mean - 3.75) <= 3 * se
 
 
 def scalar_chain(eps, seed, burn_in, samples, batches):
