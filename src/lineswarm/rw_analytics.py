@@ -57,6 +57,8 @@ __all__ = [
     "tail_prob_sum",
     "markov_span_bound",
     "gathering_bound_unilateral",
+    "first_passage_pmf",
+    "first_passage_moments",
     "min_fractional_distance",
     "gathering_time_bound",
     "gathering_bound_from_terms",
@@ -250,6 +252,41 @@ def gathering_bound_unilateral(positions: Sequence[float], p: WalkParams) -> flo
     beacon, *agents = map(Fraction, x.tolist())
     total = sum(math.ceil(v - beacon) for v in agents)  # P*, exact in ints
     return total / (1.0 - 2.0 * p.epsilon)
+
+
+def first_passage_pmf(p: WalkParams, levels: int, t: int) -> float:
+    """``P(T = t)``, for ``T`` the first tick at which a walk from 0 that
+    moves inward with probability ``1 - eps`` (else one unit back) has made
+    ``levels`` net inward moves.
+
+    By the ballot theorem ``P(T = t) = (levels/t) C(t, a) (1 - eps)^a
+    eps^b``, with ``a = (t + levels)/2`` inward moves and ``b = (t -
+    levels)/2`` back (``eps^0 = 1``, also at ``eps = 0``); it is 0 unless
+    ``b`` is a whole number >= 0.  A one-sided swarm ends at such a
+    passage: a sweep to a beacon after ``levels = sum(ceil(x - beacon))``
+    inward moves (`gathering_bound_unilateral`), and a one-sided gathering
+    after the inward moves its moving end needs.  The factors are summed
+    as logarithms, so ``t`` may be large.
+    """
+    if levels < 1:
+        raise ValidationError(f"levels must be >= 1, got {levels}")
+    back, odd = divmod(t - levels, 2)
+    if back < 0 or odd or (back and not p.epsilon):
+        return 0.0
+    inward, eps = levels + back, p.epsilon
+    log = math.lgamma(t + 1) - math.lgamma(inward + 1) - math.lgamma(back + 1)
+    return levels / t * math.exp(log + inward * math.log1p(-eps) + back * math.log(eps or 1.0))
+
+
+def first_passage_moments(p: WalkParams, levels: int) -> tuple[float, float]:
+    """The mean ``levels/mu`` and variance ``levels sigma^2/mu^3`` of the
+    passage time of `first_passage_pmf`, with ``mu = 1 - 2 eps`` and
+    ``sigma^2 = 4 eps (1 - eps)``: the sum of ``levels`` independent
+    passages one level on."""
+    if levels < 1:
+        raise ValidationError(f"levels must be >= 1, got {levels}")
+    mu = 1.0 - 2.0 * p.epsilon
+    return levels / mu, levels * 4.0 * p.epsilon * (1.0 - p.epsilon) / mu**3
 
 
 def min_fractional_distance(positions: Sequence[float]) -> float:

@@ -44,8 +44,14 @@ increments without a per-tick call.  Inputs are validated to
 ``|x| < 2**52``, so that outputs stay doubles, and to
 ``N*(span + 2) < 2**62``, so that the keys can be built in int64.
 
-The keys live in a list of sorted blocks whose concatenation is sorted,
-so a move shifts one block of at most ``2*_BLOCK`` keys, not all N:
+The sorted keys take one of two forms, never both.  Construction and
+the gathering jump leave one int64 array, which the jump's passes and the
+observers read.  The first tick-at-a-time code to run (`advance`, the
+shape table of `sample_total_spans`, `run_unilateral_sweep`) replaces it
+by a list of sorted blocks whose concatenation is sorted, and the jump
+turns that list back into an array.  So a swarm that only jumps never
+holds its keys as N Python ints.  A move on the list shifts one block of
+at most ``2*_BLOCK`` keys, not all N:
 
 * ``N <= 2*_BLOCK``: one block for the swarm's whole life;
 * otherwise each middle block holds ``_BLOCK`` to ``2*_BLOCK`` keys and
@@ -89,12 +95,12 @@ above ``x_2``: neither end sees the other's agents.  At T both moves
 read the state before the tick, so the state at T is the two ends' moves
 together, and T is the first tick at which each end's own ``x_2`` and
 ``x_{N-1}`` lie within one unit (`_jump_to_gathering` shows why).  A
-one-sided swarm holds one walk still at ``X = P = 0``.  The jump checks
-the core-edge invariant on every tick, as arrays, and builds the blocks
-once, at T.  The same arrays give the trajectory rows before T: ``x_2``
-and ``x_{N-1}``, each extreme as its end's closure entry P less D units,
-and the centroid from each end's net inward moves ``X_t``.  Its memory
-is O(N + T).
+one-sided swarm holds one walk still at ``X = P = 0`` and lists only its
+moving end.  The jump checks the core-edge invariant on every tick, as
+arrays, and moves and sorts the key array once, at T.  The same arrays
+give the trajectory rows before T: ``x_2`` and ``x_{N-1}``, each extreme
+as its end's closure entry P less D units, and the centroid from each
+end's net inward moves ``X_t``.  Its memory is O(N + T).
 
 The jump runs in numpy passes over the draws ahead, and each pass needs
 the two ends' closures listed as far as its phases reach.  Both are
@@ -245,7 +251,8 @@ def exact_sum(xs: Sequence[float]) -> tuple[float, ...]:
 
 
 class SwarmState1D:
-    """Sorted agent keys in blocks, plus tick counter and a seeded RNG stream.
+    """Sorted agent keys, as an array or in blocks, plus tick counter and a
+    seeded RNG stream.
 
     Construction splits each sorted position into its cell and fraction
     and ranks the fractions by one argsort: the sorted fractions are the
@@ -255,13 +262,20 @@ class SwarmState1D:
     changes neither the table's bytes nor any key, and it need not be
     stable.
 
-    ``_blocks`` is the block list of the module docstring: one block while
-    ``N <= 2*_BLOCK``, else middle blocks of ``_BLOCK`` to ``2*_BLOCK``
-    keys and end blocks of 3 to ``2*_BLOCK``.  ``_tops`` holds the last key
-    of each middle block, for routing a moved key.  ``_backs`` holds the
-    three turn-back tallies ``(left, right, both)`` read by `turn_backs`;
-    `centroid` uses ``right - left``.  They change only on a tick where an
-    end turns back, so the inward-move path of `advance` never touches them.
+    The keys are in exactly one of two forms, the other slot None.
+    ``_keys`` is the sorted int64 array that construction and the gathering
+    jump leave.  ``_list`` is the block list of the module docstring: one
+    block while ``N <= 2*_BLOCK``, else middle blocks of ``_BLOCK`` to
+    ``2*_BLOCK`` keys and end blocks of 3 to ``2*_BLOCK``.  The property
+    ``_blocks`` cuts the array into it on first use; `advance` steps it.
+    ``_tops`` holds the last key of each middle block, for routing a moved
+    key, and is None with ``_list``.  `_key` reads an end key from either
+    form.
+
+    ``_backs`` holds the three turn-back tallies ``(left, right, both)``
+    read by `turn_backs`; `centroid` uses ``right - left``.  They change
+    only on a tick where an end turns back, so the inward-move path of
+    `advance` never touches them.
 
     Mutable; confined to one execution context at a time.  All stepping
     draws come from a `DrawPool`, so any split of the ticks into `advance`
@@ -274,7 +288,8 @@ class SwarmState1D:
         "t",
         "gathered",
         "_n",
-        "_blocks",
+        "_keys",
+        "_list",
         "_tops",
         "_table",
         "_cell0",
@@ -331,15 +346,14 @@ class SwarmState1D:
         keys += cells.astype(np.int64) * n
         del cells
         self._n = n
-        self._blocks = blocks = [block.tolist() for block in _cut(keys)]
-        self._tops = [block[-1] for block in blocks[1:-1]]
+        self._keys, self._list, self._tops = keys, None, None
         self.params = params
         self.mode = mode
         self.t = 0
         self._sum = total
         self._backs = (0, 0, 0)  # turn-back ticks: left end, right end, both
         self._pool = DrawPool(rng)
-        self.gathered = n < 4 or blocks[-1][-2] - blocks[0][1] <= n
+        self.gathered = n < 4 or self._key(-2) - self._key(1) <= n
         self._failed = 0  # ticks that raised
 
     # -- observers ---------------------------------------------------------
@@ -347,6 +361,22 @@ class SwarmState1D:
     @property
     def n_agents(self) -> int:
         return self._n
+
+    @property
+    def _blocks(self) -> list[list[int]]:
+        """The block list, built from the key array, which it replaces, on
+        first use."""
+        if self._list is None:
+            self._list = blocks = [block.tolist() for block in _cut(self._keys)]
+            self._tops = [block[-1] for block in blocks[1:-1]]
+            self._keys = None
+        return self._list
+
+    def _key(self, i: int) -> int:
+        """Sorted key ``i``, for ``i`` in 0, 1, -2 and -1, from either form:
+        the array's, or the first or last block's."""
+        keys = self._keys
+        return int(keys[i]) if keys is not None else self._list[0 if i >= 0 else -1][i]
 
     def _at(self, key: int) -> float:
         """The correctly rounded position of ``key``: ``table[rank] + cell``."""
@@ -377,18 +407,20 @@ class SwarmState1D:
 
     @property
     def positions(self) -> tuple[float, ...]:
-        return tuple(map(self._at, chain.from_iterable(self._blocks)))
+        if self._keys is not None:
+            return tuple(self._doubles(self._keys).tolist())
+        return tuple(map(self._at, chain.from_iterable(self._list)))
 
     @property
     def total_span(self) -> float:
-        return self._at(self._blocks[-1][-1]) - self._at(self._blocks[0][0])
+        return self._at(self._key(-1)) - self._at(self._key(0))
 
     @property
     def core_span(self) -> float:
         """``x_{N-1} - x_2`` (1-indexed); defined as 0 for N <= 3."""
         if self._n < 4:
             return 0.0
-        return self._at(self._blocks[-1][-2]) - self._at(self._blocks[0][1])
+        return self._at(self._key(-2)) - self._at(self._key(1))
 
     @property
     def turn_backs(self) -> tuple[int, int, int]:
@@ -425,7 +457,8 @@ class SwarmState1D:
                 self.t += ticks
             return 0, 0
 
-        first, last = self._blocks[0], self._blocks[-1]
+        blocks = self._list or self._blocks  # built once, by the property
+        first, last = blocks[0], blocks[-1]
         multi = first is not last  # else the block bookkeeping is skipped
         move_left, move_right = _MOVERS[self.mode]
         check_core = n >= 4
@@ -513,7 +546,7 @@ class SwarmState1D:
         middle block before it, so the end blocks stay the same lists; the
         caller has `_relayout` re-cut an overfull end block.
         """
-        blocks = self._blocks
+        blocks = self._list
         first, last = blocks[0], blocks[-1]
         if key <= first[-1]:
             insort(first, key)
@@ -533,7 +566,7 @@ class SwarmState1D:
     def _relayout(self) -> tuple[list[int], list[int]]:
         """Merge an end block below 3 keys inward, re-cut an end block above
         ``2*_BLOCK`` keys, and return the new end blocks."""
-        blocks = self._blocks
+        blocks = self._list
         if len(blocks[0]) < 3:
             keys = blocks.pop(0)
             blocks[0][:0] = keys
@@ -581,7 +614,7 @@ def new_swarm(
 
 
 def _emit(state: SwarmState1D, sink: Callable[[TrajectoryRow], None]) -> None:
-    x1, xn = state._at(state._blocks[0][0]), state._at(state._blocks[-1][-1])
+    x1, xn = state._at(state._key(0)), state._at(state._key(-1))
     sink(TrajectoryRow(state.t, state.centroid(), state.core_span, xn - x1, x1, xn))
 
 
@@ -598,14 +631,15 @@ class _InwardEnds:
     lies an entry of each other agent; so the next entry is always another
     agent's, and ``x_2`` at entry q is entry q+1.  ``second[e, P]`` is end
     e's ``x_2`` after P inward moves, at any depth: entry P+1, or the
-    second key while that is larger.
+    second key while that is larger.  An end that ``moves`` marks still
+    lists nothing: its phase stays 0, and its row holds its second key.
     """
 
-    __slots__ = ("n", "keys", "ends", "lone", "reach", "second")
+    __slots__ = ("n", "keys", "moves", "ends", "lone", "reach", "second")
 
-    def __init__(self, keys: np.ndarray, n: int, reach: int) -> None:
+    def __init__(self, keys: np.ndarray, n: int, reach: int, moves: tuple[int, int]) -> None:
         """The first listing covers ``reach`` phases or more."""
-        self.n, self.keys, self.reach = n, keys, reach
+        self.n, self.keys, self.reach, self.moves = n, keys, reach, moves
         self.ends = [keys[:2].tolist(), (-keys[:-3:-1]).tolist()]  # each end's first two keys
         self.lone = [second // n - first // n for first, second in self.ends]
         self.second = np.empty((2, 0), np.int64)
@@ -635,8 +669,8 @@ class _InwardEnds:
         return np.where(phase > np.array(self.lone)[:, None], later, first)
 
     def _grow(self, size: int) -> None:
-        """List both ends' closures anew until ``second`` covers ``size``
-        phases: entries 0 to ``size``."""
+        """List the moving ends' closures anew until ``second`` covers
+        ``size`` phases: entries 0 to ``size``."""
         n, keys = self.n, self.keys
         self.second = None  # the old listing goes before the new one is built
         # agent a lists levels cell[a] up to top - 1.  The first m agents,
@@ -647,8 +681,11 @@ class _InwardEnds:
         sums = np.empty(n, np.int64)
         tops, used = [], 2
         # floor(key / -N), taken in reverse order, is the right end's cells
-        for row, step in ((keys, n), (keys[::-1], -n)):
+        for row, step, moves in zip((keys, keys[::-1]), (n, -n), self.moves):
             np.floor_divide(row, step, out=sums)
+            if not moves:  # topped at the end agent's own cell: no entries
+                tops.append([int(sums[0])])
+                continue
             np.cumsum(sums, out=sums)
             m = bisect_left(
                 range(1, n), size + 1, key=lambda m: m * int(sums[m]) - (m + 1) * int(sums[m - 1])
@@ -677,10 +714,12 @@ class _InwardEnds:
         vals += np.arange(0, vals.size * n, n)
         vals[:split].sort()
         vals[split:].sort()
-        self.second = second = np.empty((2, size), np.int64)
-        (_, left), (_, right) = self.ends  # each end's second key
-        np.maximum(vals[1 : size + 1], left, out=second[0])
-        np.maximum(vals[split + 1 : split + size + 1], right, out=second[1])
+        self.second = np.empty((2, size), np.int64)
+        for row, start, (_, key), moves in zip(self.second, (0, split), self.ends, self.moves):
+            if moves:  # entry P+1, or the end's second key while that is larger
+                np.maximum(vals[start + 1 : start + size + 1], key, out=row)
+            else:
+                row.fill(key)
 
     def move(self, phase: list[int], depth: list[int]) -> None:
         """Move ``keys`` by each end's ``phase`` inward moves at ``depth``.
@@ -793,12 +832,14 @@ def _jump_to_gathering(
     move_left, move_right = _MOVERS[state.mode]
     width = move_left + move_right  # draws a tick, the left end's first
     moving = slice(1 - move_left, 1 + move_right)  # the moving ends' columns
-    keys = np.fromiter(chain.from_iterable(state._blocks), np.int64, n)
-    state._blocks = []  # N Python ints: the passes need only ``keys``
+    keys = state._keys
+    if keys is None:  # a state that has ticked goes back to one array
+        keys = np.fromiter(chain.from_iterable(state._list), np.int64, n)
+        state._keys, state._list, state._tops = keys, None, None
     eps = state.params.epsilon
     keep = 1.0 - eps
     reach, ticks = _gathering_estimate(keys, n, eps)
-    ends = _InwardEnds(keys, n, min(reach, max_steps))
+    ends = _InwardEnds(keys, n, min(reach, max_steps), (move_left, move_right))
     draws = width * ticks + _JUMP_DRAWS
     planned = -(-draws // _JUMP_CAP)  # passes that share them
     want = width * -(-draws // (width * planned))  # draws a pass
@@ -844,8 +885,6 @@ def _jump_to_gathering(
     finally:
         ends.move(phase, [p - x for p, x in zip(phase, walk)])
         keys.sort()
-        state._blocks = blocks = [block.tolist() for block in _cut(keys)]
-        state._tops = [block[-1] for block in blocks[1:-1]]
         state.t += t
         # a moving end's X counts inward ticks less turn-backs
         left_backs, right_backs, both_backs = state._backs
@@ -854,7 +893,7 @@ def _jump_to_gathering(
             right_backs + move_right * (t - walk[1]) // 2,
             both_backs + both,
         )
-        x2_after, xp_after = blocks[0][1], blocks[-1][-2]
+        x2_after, xp_after = int(keys[1]), int(keys[-2])
         state.gathered = xp_after - x2_after <= n
     if x2_after < x2 or xp_after > xp:
         state._failed += 1

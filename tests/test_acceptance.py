@@ -25,6 +25,8 @@ from lineswarm.experiments import (
 from lineswarm.rw_analytics import (
     WalkParams,
     finite_chain_oracle,
+    first_passage_moments,
+    first_passage_pmf,
     stationary_pi,
     tail_prob_sum,
 )
@@ -182,6 +184,28 @@ def test_c05_sweep_mean_is_exact(unilateral_run):
         assert abs(row.mean - 3.75) <= 3 * row.stderr, (
             f"mean {row.mean} vs 3.75 +- {3 * row.stderr}"
         )
+
+
+def test_c05_sweep_times_follow_the_first_passage_law(unilateral_run):
+    # the same first passage fixes the whole law of T, not only its mean: a
+    # sweep that ends at the wrong tick on some paths moves the variance or
+    # the shares of T = 3, 5, 7, 9 and >= 11
+    _, times = unilateral_run
+    p, levels = WalkParams(0.1), 3
+    t = np.asarray(times, dtype=float)
+    dev = t - t.mean()
+    var = float(dev @ dev) / (t.size - 1)
+    var_se = math.sqrt((float(np.mean(dev**4)) - var**2) / t.size)
+    _, exact_var = first_passage_moments(p, levels)
+    law = [first_passage_pmf(p, levels, k) for k in (3, 5, 7, 9)]
+    expect = t.size * np.array([*law, 1.0 - math.fsum(law)])
+    counts = np.array([*(np.count_nonzero(t == k) for k in (3, 5, 7, 9)),
+                       np.count_nonzero(t >= 11)])
+    chi2 = float(((counts - expect) ** 2 / expect).sum())
+    with criterion(5, "beacon sweep: variance within 3 SE of 2.109375, chi^2 (4 df) < 16.25"):
+        assert abs(var - exact_var) <= 3 * var_se, f"variance {var} vs {exact_var} +- {3 * var_se}"
+        # 16.25 is the 4-df chi^2 quantile at P = 0.0027, the two-sided 3-SE tail
+        assert chi2 < 16.25, f"chi^2 = {chi2} over T bins, counts {counts}"
 
 
 def test_c06_gathering_guarantee(gathering_sweep):

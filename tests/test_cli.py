@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lineswarm import cli, rw_analytics, sim2d
+from lineswarm import cli, rw_analytics, sim1d, sim2d
 from lineswarm.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from lineswarm.errors import ValidationError
 from lineswarm.seeding import child_seed
@@ -184,6 +184,20 @@ class TestSim1d:
         if state.t % 3:
             want.append(row(state))
         assert len(want) > 3 and got == want
+
+    def test_wide_run_builds_no_block_list(self, tmp_path, capsys, monkeypatch):
+        # the wide benchmark's input gathers by the jump alone, so its keys
+        # stay one int64 array: a raising block cutter is never reached
+        def refused(keys):
+            raise AssertionError("a block list was built")
+
+        monkeypatch.setattr(sim1d, "_cut", refused)
+        cells = np.random.default_rng(5).integers(0, int(3.5 * 2**20), 100_000)
+        positions = ",".join(map(repr, (cells * 2.0**-20).tolist()))
+        code = run_cli("sim1d", "--positions", positions, "--epsilon", "0.1", "--seed", "3",
+                       "--stride", "100", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert "(gathered)" in capsys.readouterr().out
 
     def test_domain_error_nonzero(self, tmp_path):
         code = run_cli(

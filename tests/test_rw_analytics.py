@@ -19,6 +19,8 @@ from lineswarm.rw_analytics import (
     expected_steps_to_minus_one,
     farthest_excursion_bound,
     finite_chain_oracle,
+    first_passage_moments,
+    first_passage_pmf,
     gathering_bound_from_terms,
     gathering_bound_unilateral,
     gathering_time_bound,
@@ -268,6 +270,47 @@ class TestSweepBound:
     def test_rejects_short_and_non_finite(self, bad):
         with pytest.raises(ValidationError):
             gathering_bound_unilateral(bad, WalkParams(0.1))
+
+
+class TestFirstPassageLaw:
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7])
+    def test_matches_the_absorbed_walk(self, eps, levels):
+        # the walk stepped tick by tick in exact rationals: the mass that
+        # first reaches `levels` net inward moves at tick t is P(T = t)
+        keep, back = 1 - Fraction(eps), Fraction(eps)
+        live = {0: Fraction(1)}
+        for t in range(1, 80):
+            nxt = {}
+            for x, mass in live.items():
+                nxt[x + 1] = nxt.get(x + 1, 0) + mass * keep
+                nxt[x - 1] = nxt.get(x - 1, 0) + mass * back
+            exact = nxt.pop(levels, 0)
+            live = {x: mass for x, mass in nxt.items() if mass}
+            assert first_passage_pmf(WalkParams(eps), levels, t) == pytest.approx(
+                float(exact), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("levels", [1, 3, 20])
+    def test_moments_are_the_law_s(self, eps, levels):
+        p = WalkParams(eps)
+        law = np.array([first_passage_pmf(p, levels, t) for t in range(10_000)])
+        t = np.arange(law.size)
+        mean, var = first_passage_moments(p, levels)
+        assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(t * law) == pytest.approx(mean, rel=1e-10)
+        assert math.fsum((t - mean) ** 2 * law) == pytest.approx(var, rel=1e-9, abs=1e-12)
+
+    def test_pinned_values_and_domain(self):
+        # criterion 5's sweep: three levels at eps = 0.1
+        assert first_passage_moments(WalkParams(0.1), 3) == (3.75, 2.109375)
+        assert first_passage_pmf(WalkParams(0.1), 3, 3) == pytest.approx(0.729)
+        assert first_passage_pmf(WalkParams(0.1), 3, 2) == 0.0  # too soon
+        assert first_passage_pmf(WalkParams(0.1), 3, 4) == 0.0  # odd parity
+        with pytest.raises(ValidationError):
+            first_passage_pmf(WalkParams(0.1), 0, 5)
+        with pytest.raises(ValidationError):
+            first_passage_moments(WalkParams(0.1), 0)
 
 
 class TestHalfShrinkBound:

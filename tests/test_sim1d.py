@@ -979,6 +979,40 @@ class TestGatheringJump:
         assert (res.T, res.reached) == (stepped.t, stepped.gathered)
         assert jump_outcome(jumped) == jump_outcome(stepped)
 
+    @given(jump_starts, epsilons_st, st.integers(0, 2**32), st.integers(0, 40),
+           st.integers(0, 40), modes_st)
+    @example([-300.0, 0.25, 0.5, 3.0, 7.75], 0.2, 3, 0, 7, UNILATERAL_LEFT)
+    @example([0.0, 0.0, 3.5, 3.5, 7.0, 7.0], 0.1, 99, 5, 0, BILATERAL)
+    @settings(max_examples=100, deadline=None)
+    def test_key_forms_switch_as_ticks_need_them(self, positions, eps, seed, pre, post, mode):
+        # the keys are one int64 array after construction and after the jump,
+        # and the block list once `advance` runs; either way a state reads as
+        # its advance-only twin does, and it ticks on from the same draws
+        run, twin = (new_swarm(positions, eps, seed, mode) for _ in range(2))
+
+        def seen(form):
+            assert form == ("array" if run._list is None else "list")
+            assert (run._keys is None) != (run._list is None)
+            keys = list(chain.from_iterable(twin._blocks))
+            assert ([run._key(i) for i in (0, 1, -2, -1)], run.positions, run.turn_backs,
+                    run.t, run.gathered, run.invariant_checks) == (
+                [keys[i] for i in (0, 1, -2, -1)], twin.positions, twin.turn_backs,
+                twin.t, twin.gathered, twin.invariant_checks)
+
+        seen("array")
+        if pre:
+            run.advance(pre)
+            twin.advance(pre)
+            seen("list")
+        jumps = not run.gathered  # else the run returns at once
+        run_until_gathered(run, 10**7)
+        twin.advance(10**7, until_gathered=True)
+        seen("array" if jumps or not pre else "list")
+        run.advance(post)
+        twin.advance(post)
+        seen("list")  # even after advance(0)
+        assert take(run._pool, 9000) == take(twin._pool, 9000)
+
     def test_jump_matches_advance_in_small_blocks(self):
         # at the minimum block size, N >= 7 spans several blocks
         with block_size(3):
